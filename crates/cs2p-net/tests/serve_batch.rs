@@ -9,21 +9,23 @@
 //!   baseline's per-session prediction sequences bit-for-bit
 //!   (via [`assert_serving_concurrency_independence`]);
 //! - a twin-server differential drive comparing, per entry, the exact
-//!   `(status, response, error)` triple — including per-entry 404s for
-//!   unregistered sessions mid-frame — and afterwards the surviving
+//!   `(status, response bytes, error)` triple — including per-entry 404s
+//!   for unregistered sessions mid-frame — and afterwards the surviving
 //!   session *states* (identical follow-up probes must answer
 //!   identically) and the quality monitor's APE sketches via `GET /ops`;
+//! - the same twin-server drive with the admission ladder pinned at each
+//!   level (Full, Degraded, Fallback, Shed): the ladder level is one more
+//!   input the equivalence must hold under, counters included;
 //! - frame-order semantics for same-session entries inside one frame
 //!   (register + several measurements in a single batch).
 
 use cs2p_net::http::{read_response, write_request, Request, Response};
-use cs2p_net::protocol::{
-    BatchPredictRequest, BatchPredictResponse, PredictRequest, PredictResponse,
-};
-use cs2p_net::{serve_with, OpsSnapshot, ServeConfig, ServerHandle};
+use cs2p_net::protocol::{BatchPredictRequest, BatchPredictResponse, PredictRequest};
+use cs2p_net::{serve_with, AdmissionLevel, OpsSnapshot, ServeConfig, ServerHandle};
 use cs2p_testkit::invariants::assert_serving_concurrency_independence;
 use cs2p_testkit::loadgen::{BatchSpec, LoadConfig};
 use cs2p_testkit::scenarios::tiny_engine;
+use std::collections::BTreeSet;
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpStream};
 
@@ -54,10 +56,12 @@ fn server(n_workers: usize) -> ServerHandle {
 }
 
 /// What one entry produced, normalized across both endpoints: the
-/// singleton endpoint's `(HTTP status, parsed response | error text)`
-/// and a batch entry's `(status, response, error)` must map to the same
-/// triple for the paths to count as equivalent.
-type EntryOutcome = (u16, Option<PredictResponse>, Option<String>);
+/// singleton endpoint's `(HTTP status, body bytes | error text)` and a
+/// batch entry's `(status, response bytes, error)` must map to the same
+/// triple for the paths to count as equivalent. A 503 carries no error
+/// text here: the singleton endpoint answers it at the HTTP level
+/// (`Retry-After`, asserted where it is driven), a batch entry inline.
+type EntryOutcome = (u16, Option<Vec<u8>>, Option<String>);
 
 /// A deterministic mixed entry stream: `n_sessions` sessions walked
 /// epoch-major (registration first, then measurements), so consecutive
@@ -94,14 +98,20 @@ fn drive_singleton(addr: SocketAddr, entries: &[PredictRequest]) -> Vec<EntryOut
         .map(|preq| {
             let body = serde_json::to_vec(preq).unwrap();
             let resp = send(addr, &Request::new("POST", "/predict", body));
-            if resp.status == 200 {
-                (200, Some(serde_json::from_slice(&resp.body).unwrap()), None)
-            } else {
-                (
-                    resp.status,
+            match resp.status {
+                200 => (200, Some(resp.body.to_vec()), None),
+                503 => {
+                    assert!(
+                        resp.header("retry-after").is_some(),
+                        "503 without Retry-After"
+                    );
+                    (503, None, None)
+                }
+                status => (
+                    status,
                     None,
                     Some(String::from_utf8(resp.body.to_vec()).unwrap()),
-                )
+                ),
             }
         })
         .collect()
@@ -124,8 +134,13 @@ fn drive_batched(
         assert_eq!(resp.status, 200, "batch frame failed: {:?}", resp.body);
         let bresp: BatchPredictResponse = serde_json::from_slice(&resp.body).unwrap();
         assert_eq!(bresp.results.len(), frame.len(), "frame length mismatch");
+        // The parsed frame re-encodes to the wire bytes, so each entry's
+        // re-encoded `response` is the exact byte run the frame carried.
+        assert_eq!(bresp.to_json_bytes(), resp.body.to_vec());
         for r in bresp.results {
-            outcomes.push((r.status, r.response, r.error));
+            let response = r.response.map(|p| serde_json::to_vec(&p).unwrap());
+            let error = r.error.filter(|_| r.status != 503);
+            outcomes.push((r.status, response, error));
         }
     }
     outcomes
@@ -134,6 +149,8 @@ fn drive_batched(
 /// Identical follow-up singleton probes against both servers: if any
 /// session's filter state (posterior, epoch, pending prediction)
 /// diverged, a horizon-3 probe with one more measurement exposes it.
+/// Status and body must agree byte for byte — a session both servers
+/// lack (nothing registers at Fallback) answers the same 404 on each.
 fn probe_states(a: SocketAddr, b: SocketAddr, base: u64, n_sessions: u64, frame_size: usize) {
     for sid in base..base + n_sessions {
         let probe = PredictRequest {
@@ -145,12 +162,9 @@ fn probe_states(a: SocketAddr, b: SocketAddr, base: u64, n_sessions: u64, frame_
         let body = serde_json::to_vec(&probe).unwrap();
         let ra = send(a, &Request::new("POST", "/predict", body.clone()));
         let rb = send(b, &Request::new("POST", "/predict", body));
-        assert_eq!(ra.status, 200);
-        assert_eq!(rb.status, 200);
-        let pa: PredictResponse = serde_json::from_slice(&ra.body).unwrap();
-        let pb: PredictResponse = serde_json::from_slice(&rb.body).unwrap();
         assert_eq!(
-            pa, pb,
+            (ra.status, &ra.body),
+            (rb.status, &rb.body),
             "session {sid} state diverged after frame_size={frame_size}"
         );
     }
@@ -202,44 +216,167 @@ fn ragged_frame_sizes_reproduce_singleton_predictions() {
 /// B must produce identical per-entry outcomes (including mid-frame
 /// 404s), identical surviving session states, and identical quality
 /// sketches (`matched`/`unmatched` counts and every APE quantile row).
+///
+/// `level` pins both servers' admission ladder for the drive (`None`
+/// leaves it alone). Probes run twice: still pinned — so a Fallback
+/// side table or a Degraded-registered session that diverged shows —
+/// and again at Full after unpinning.
+fn assert_frames_match_singles(
+    level: Option<AdmissionLevel>,
+    entries: &[PredictRequest],
+    base: u64,
+    n_sessions: u64,
+    frame_size: usize,
+) -> Vec<EntryOutcome> {
+    let a = server(2);
+    let b = server(2);
+    a.force_admission_level(level);
+    b.force_admission_level(level);
+    let singles = drive_singleton(a.addr(), entries);
+    let batched = drive_batched(b.addr(), entries, frame_size);
+    assert_eq!(
+        singles.len(),
+        batched.len(),
+        "outcome count mismatch at {level:?}, frame_size={frame_size}"
+    );
+    for (i, (s, bt)) in singles.iter().zip(&batched).enumerate() {
+        assert_eq!(
+            s, bt,
+            "entry {i} diverged at {level:?}, frame_size={frame_size} \
+             (session {})",
+            entries[i].session_id
+        );
+    }
+
+    probe_states(a.addr(), b.addr(), base, n_sessions, frame_size);
+    a.force_admission_level(None);
+    b.force_admission_level(None);
+    probe_states(a.addr(), b.addr(), base, n_sessions, frame_size);
+
+    let (oa, ob) = (ops(a.addr()), ops(b.addr()));
+    assert_eq!(
+        oa.quality, ob.quality,
+        "quality monitor diverged at {level:?}, frame_size={frame_size}"
+    );
+    assert_eq!(oa.predictions_served, ob.predictions_served);
+    assert_eq!(oa.sessions_live, ob.sessions_live);
+    assert_eq!(oa.sessions_evicted, ob.sessions_evicted);
+    // Per-level serve counts, fallback misses and (zero) sheds move
+    // identically; `transitions` counts the two force calls on each.
+    let (sa, sb) = (a.shutdown(), b.shutdown());
+    assert_eq!(
+        sa.admission, sb.admission,
+        "ladder counters diverged at {level:?}, frame_size={frame_size}"
+    );
+    assert_eq!(sa.predictions_served, sb.predictions_served);
+    singles
+}
+
 #[test]
 fn batch_frames_match_sequential_singles_end_to_end() {
     const BASE: u64 = 50_000;
     const N_SESSIONS: u64 = 6;
     let entries = entry_stream(BASE, N_SESSIONS, 5);
     for &frame_size in &[1usize, 7, 64] {
-        let a = server(2);
-        let b = server(2);
-        let singles = drive_singleton(a.addr(), &entries);
-        let batched = drive_batched(b.addr(), &entries, frame_size);
-        assert_eq!(
-            singles.len(),
-            batched.len(),
-            "outcome count mismatch at frame_size={frame_size}"
-        );
-        for (i, (s, bt)) in singles.iter().zip(&batched).enumerate() {
-            assert_eq!(
-                s, bt,
-                "entry {i} diverged at frame_size={frame_size} \
-                 (session {})",
-                entries[i].session_id
-            );
-        }
-
-        probe_states(a.addr(), b.addr(), BASE, N_SESSIONS, frame_size);
-
-        let (oa, ob) = (ops(a.addr()), ops(b.addr()));
-        assert_eq!(
-            oa.quality, ob.quality,
-            "quality monitor diverged at frame_size={frame_size}"
-        );
-        assert_eq!(oa.predictions_served, ob.predictions_served);
-        assert_eq!(oa.sessions_live, ob.sessions_live);
-        assert_eq!(oa.sessions_evicted, ob.sessions_evicted);
-
-        a.shutdown();
-        b.shutdown();
+        assert_frames_match_singles(None, &entries, BASE, N_SESSIONS, frame_size);
     }
+}
+
+/// The ladder level as one more input: pinned at Full, Degraded and
+/// Fallback a frame must still equal its sequential expansion. On top
+/// of the mixed stream (registrations, measurements, the unregistered
+/// ghost) the script carries an invalid-horizon entry and an adjacent
+/// same-session pair; at Fallback every registration entry is a session
+/// with no measurement history (a 503 miss on both paths) and the ghost,
+/// which does carry a measurement, is answered.
+#[test]
+fn batch_frames_match_sequential_singles_at_every_ladder_level() {
+    const BASE: u64 = 51_000;
+    const N_SESSIONS: u64 = 6;
+    let mut entries = entry_stream(BASE, N_SESSIONS, 4);
+    let measure = |sid: u64, mbps: f64| PredictRequest {
+        session_id: sid,
+        features: None,
+        measured_mbps: Some(mbps),
+        horizon: 2,
+    };
+    // Index 7 opens the second 7-entry frame, so the pair shares a frame
+    // at sizes 7 and 64.
+    entries.splice(
+        7..7,
+        [
+            measure(BASE, 2.0),
+            measure(BASE, 2.5),
+            PredictRequest {
+                horizon: 0,
+                ..measure(BASE + 1, 3.0)
+            },
+        ],
+    );
+    for level in [
+        AdmissionLevel::Full,
+        AdmissionLevel::Degraded,
+        AdmissionLevel::Fallback,
+    ] {
+        for &frame_size in &[1usize, 7, 64] {
+            let outcomes =
+                assert_frames_match_singles(Some(level), &entries, BASE, N_SESSIONS, frame_size);
+            // The script really exercised each per-entry status the level
+            // can answer: no store at Fallback means no 404, only misses.
+            let statuses: BTreeSet<u16> = outcomes.iter().map(|o| o.0).collect();
+            let expect: &[u16] = match level {
+                AdmissionLevel::Fallback => &[200, 400, 503],
+                _ => &[200, 400, 404],
+            };
+            assert!(statuses.iter().eq(expect), "{level:?}: {statuses:?}");
+        }
+    }
+}
+
+/// At Shed the two endpoints are deliberately *not* symmetric, and this
+/// pins the asymmetry: the singleton path sheds (and counts) every
+/// request, a batch frame is refused whole — one 503 with `Retry-After`
+/// and one `shed` per frame, however many entries it carried. An
+/// invalid singleton is still a 400, not a shed: validation needs no
+/// capacity.
+#[test]
+fn shed_refuses_a_frame_whole_and_counts_it_once() {
+    let entries = entry_stream(52_000, 6, 2);
+    let shed_of = |s: &ServerHandle| s.stats().admission.shed;
+
+    let a = server(2);
+    a.force_admission_level(Some(AdmissionLevel::Shed));
+    let singles = drive_singleton(a.addr(), &entries);
+    assert!(singles.iter().all(|o| *o == (503, None, None)));
+    assert_eq!(shed_of(&a), entries.len() as u64);
+    let invalid = PredictRequest {
+        horizon: 0,
+        ..entries[0].clone()
+    };
+    assert_eq!(drive_singleton(a.addr(), &[invalid])[0].0, 400);
+    assert_eq!(shed_of(&a), entries.len() as u64, "a 400 is not a shed");
+    let sa = a.shutdown();
+
+    let b = server(2);
+    b.force_admission_level(Some(AdmissionLevel::Shed));
+    let mut frames = 0;
+    for frame in entries.chunks(7) {
+        let breq = BatchPredictRequest {
+            entries: frame.to_vec(),
+        };
+        let resp = send(
+            b.addr(),
+            &Request::new("POST", "/predict_batch", breq.to_json_bytes()),
+        );
+        assert_eq!(resp.status, 503);
+        assert!(resp.header("retry-after").is_some());
+        frames += 1;
+    }
+    assert_eq!(shed_of(&b), frames);
+    let sb = b.shutdown();
+    assert_eq!(sa.predictions_served, 0);
+    assert_eq!(sb.predictions_served, 0);
+    assert_eq!(sb.sessions_live, 0, "shed frames never reach the store");
 }
 
 /// Same-session entries inside one frame run in frame order: a single
