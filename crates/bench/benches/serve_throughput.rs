@@ -1,19 +1,13 @@
-//! Serving throughput: the sharded worker-pool server vs the legacy
-//! thread-per-connection server it replaced.
+//! Serving throughput of the sharded worker-pool server.
 //!
-//! Drives both with the testkit's deterministic closed-loop load
-//! generator at 1, 8, and 64 concurrent clients, then prints a headline
+//! Drives it with the testkit's deterministic closed-loop load generator
+//! at 1, 8, and 64 concurrent clients, then prints a headline
 //! requests/second table and runs an overload scenario (1 worker, 1-deep
 //! queue, 16 clients) that must shed load with 503s — never panic,
 //! deadlock, or drop a request unaccounted.
-//!
-//! The ≥3× speedup target from the serving-layer redesign applies to an
-//! 8-core host; this bench reports whatever the current machine gives
-//! and asserts nothing about the ratio, so it stays meaningful on the
-//! 1-core CI box.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use cs2p_net::{serve_legacy, serve_with, ServeConfig};
+use cs2p_net::{serve_with, ServeConfig};
 use cs2p_testkit::loadgen::{run_load, LoadConfig};
 use cs2p_testkit::scenarios::tiny_engine;
 use std::net::SocketAddr;
@@ -65,12 +59,6 @@ fn serve_throughput(c: &mut Criterion) {
     for &n_clients in &CLIENT_COUNTS {
         let config = workload(n_clients);
 
-        let legacy = serve_legacy(tiny_engine(), "127.0.0.1:0").unwrap();
-        group.bench_function(&format!("legacy/{n_clients}"), |b| {
-            b.iter(|| run_and_check(legacy.addr(), &config))
-        });
-        legacy.shutdown();
-
         let sharded = serve_with(tiny_engine(), "127.0.0.1:0", sharded_config()).unwrap();
         group.bench_function(&format!("sharded/{n_clients}"), |b| {
             b.iter(|| run_and_check(sharded.addr(), &config))
@@ -83,25 +71,16 @@ fn serve_throughput(c: &mut Criterion) {
     overload_scenario();
 }
 
-/// One-shot rps comparison, printed for DESIGN.md / eval cross-checks.
+/// One-shot rps table, printed for DESIGN.md / eval cross-checks.
 fn headline_table() {
     println!("[serve-throughput] closed-loop requests/second (one-shot):");
-    println!("  clients      legacy     sharded       ratio");
+    println!("  clients     sharded");
     for &n_clients in &CLIENT_COUNTS {
         let config = workload(n_clients);
-        let legacy = serve_legacy(tiny_engine(), "127.0.0.1:0").unwrap();
-        let legacy_rps = measure_rps(legacy.addr(), &config);
-        legacy.shutdown();
         let sharded = serve_with(tiny_engine(), "127.0.0.1:0", sharded_config()).unwrap();
         let sharded_rps = measure_rps(sharded.addr(), &config);
         sharded.shutdown();
-        println!(
-            "  {:>7} {:>11.0} {:>11.0} {:>10.2}x",
-            n_clients,
-            legacy_rps,
-            sharded_rps,
-            sharded_rps / legacy_rps
-        );
+        println!("  {:>7} {:>11.0}", n_clients, sharded_rps);
     }
 }
 

@@ -18,8 +18,8 @@
 //! record to the given JSONL file (schema in `OBSERVABILITY.md`), closing
 //! with a full metric snapshot. `--profile` prints a per-stage wall-time
 //! table built from the span histograms. `serve-bench` skips material
-//! preparation and benchmarks the prediction server (legacy vs sharded)
-//! plus its overload backpressure. `chaos-bench` likewise skips material
+//! preparation and benchmarks the prediction server plus its overload
+//! backpressure. `chaos-bench` likewise skips material
 //! preparation and reports recovery latency/success per injected fault
 //! class (see TESTING.md). `refresh-bench` generates its own drifting
 //! world and compares a stale launch model against the daily warm-start

@@ -1,6 +1,6 @@
 //! `serve-bench`: closed-loop throughput of the sharded worker-pool
-//! prediction server vs the legacy thread-per-connection server, plus an
-//! overload probe of the 503 backpressure path.
+//! prediction server, plus an overload probe of the 503 backpressure
+//! path.
 //!
 //! Unlike the paper experiments this needs no materials: it trains a
 //! milliseconds-scale two-ISP engine and measures requests/second at
@@ -12,7 +12,7 @@ use cs2p_core::engine::{EngineConfig, PredictionEngine};
 use cs2p_core::{Dataset, FeatureSchema, FeatureVector, Session};
 use cs2p_net::http::Request;
 use cs2p_net::protocol::{BatchPredictRequest, BatchPredictResponse, PredictRequest};
-use cs2p_net::{serve_legacy, serve_with, HttpClient, ServeConfig};
+use cs2p_net::{serve_with, HttpClient, ServeConfig};
 use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::time::Instant;
@@ -255,37 +255,21 @@ pub(crate) fn sharded_config() -> ServeConfig {
     }
 }
 
-/// The serve-bench table: legacy vs sharded rps per client count, then
-/// the overload probe.
+/// The serve-bench table: sharded rps per client count, then the
+/// overload probe.
 pub fn serve_bench() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "serve-bench: closed-loop requests/second, {EPOCHS_PER_SESSION} requests per client"
     );
-    let _ = writeln!(
-        out,
-        "{:>9} {:>12} {:>12} {:>9}",
-        "clients", "legacy rps", "sharded rps", "ratio"
-    );
+    let _ = writeln!(out, "{:>9} {:>12}", "clients", "sharded rps");
     for &n_clients in &CLIENT_COUNTS {
-        let legacy = serve_legacy(bench_engine(), "127.0.0.1:0").expect("bind legacy");
-        let legacy_rps = measure_rps(legacy.addr(), n_clients);
-        legacy.shutdown();
-
         let sharded =
             serve_with(bench_engine(), "127.0.0.1:0", sharded_config()).expect("bind sharded");
         let sharded_rps = measure_rps(sharded.addr(), n_clients);
         sharded.shutdown();
-
-        let _ = writeln!(
-            out,
-            "{:>9} {:>12.0} {:>12.0} {:>8.2}x",
-            n_clients,
-            legacy_rps,
-            sharded_rps,
-            sharded_rps / legacy_rps
-        );
+        let _ = writeln!(out, "{:>9} {:>12.0}", n_clients, sharded_rps);
     }
 
     // Overload probe: 1 worker, 1-deep queue, 16 clients. The server

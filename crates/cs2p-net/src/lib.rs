@@ -37,8 +37,6 @@
 //! - [`transport`]: the byte-stream abstraction with an injectable
 //!   per-connection wrapper hook (fault injection, future middleboxes)
 //!   and the server's slow-peer deadline reader;
-//! - [`legacy`]: the pre-rewrite thread-per-connection server, kept as
-//!   the `serve_throughput` benchmark baseline;
 //! - [`client`]: the blocking client and [`client::RemotePredictor`],
 //!   which exposes the server as a [`cs2p_core::ThroughputPredictor`]
 //!   and transparently re-registers sessions the server evicted;
@@ -60,7 +58,6 @@ pub mod admission;
 pub mod client;
 pub mod dash;
 pub mod http;
-pub mod legacy;
 pub mod ops;
 pub mod persist;
 pub mod pool;
@@ -80,7 +77,6 @@ pub use client::{
 pub use dash::{
     play_remote_session, AbrKind, DashPlayer, LocalModelPredictor, Manifest, PlayerConfig,
 };
-pub use legacy::{serve_legacy, LegacyServerHandle};
 pub use ops::{FaultRow, OpsAdmission, OpsQuality, OpsSnapshot, QualityRow};
 pub use persist::{CommitOutcome, PersistConfig, RecoveredState, WalFaultHook, WalStats};
 pub use protocol::{

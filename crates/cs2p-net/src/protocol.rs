@@ -377,6 +377,15 @@ impl BatchPredictRequest {
 }
 
 impl PredictResponse {
+    /// Serializes the response straight to bytes, bypassing the `Value`
+    /// tree — what `POST /predict` ships. Byte-identical to
+    /// `serde_json::to_vec(self)`.
+    pub fn to_json_bytes(&self) -> Vec<u8> {
+        let mut out = String::with_capacity(128 + self.predictions_mbps.len() * 20);
+        self.write_json(&mut out);
+        out.into_bytes()
+    }
+
     fn write_json(&self, out: &mut String) {
         use std::fmt::Write;
         out.push_str("{\"predictions_mbps\":[");
@@ -738,6 +747,10 @@ mod tests {
             ],
         };
         assert_eq!(resp.to_json_bytes(), serde_json::to_vec(&resp).unwrap());
+        // The singleton endpoint ships each of those responses on its own.
+        for single in resp.results.iter().filter_map(|r| r.response.as_ref()) {
+            assert_eq!(single.to_json_bytes(), serde_json::to_vec(single).unwrap());
+        }
     }
 
     #[test]

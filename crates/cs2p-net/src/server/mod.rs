@@ -1,0 +1,927 @@
+//! The Prediction Engine HTTP server (§6, server-side deployment).
+//!
+//! The paper's Node.js server answers one prediction POST per player per
+//! 6-second epoch; at the ROADMAP's target scale that is thousands of
+//! concurrent viewers, so the serving layer is shaped like a production
+//! service rather than a demo:
+//!
+//! - **Sharded session store** ([`crate::store::SessionStore`]): per-viewer
+//!   HMM filter state lives in N shards keyed by `hash(session_id)`, each
+//!   behind its own lock, with TTL/LRU eviction under a capacity bound.
+//!   Requests for different sessions proceed in parallel; requests for the
+//!   same session stay serialized.
+//! - **Bounded worker pool**: a fixed set of worker threads pulls
+//!   ready-to-read connections from a bounded queue
+//!   ([`crate::pool::BoundedQueue`]). When the queue is full the server
+//!   answers `503` + `Retry-After` instead of queueing unboundedly, and
+//!   every connection carries read/write timeouts.
+//! - **Graceful drain**: `shutdown()` stops accepting (the blocking
+//!   acceptor is woken by a loopback connect, not a sleep poll), lets the
+//!   workers finish every request already read or readable, then joins all
+//!   threads — bounded time, zero dropped in-flight requests.
+//!
+//! Connection readiness is discovered with non-blocking `peek` (std-only;
+//! no epoll available), so one poller thread multiplexes idle keep-alive
+//! connections while workers only ever touch connections with bytes
+//! waiting. Telemetry flows through `cs2p-obs` under the `serve.*` names
+//! (see OBSERVABILITY.md).
+//!
+//! Three files: `app` is request → response (session state, the
+//! endpoints, the one prediction pipeline), `conn` the connections and
+//! their acceptor / poller / worker threads, `handle` the
+//! [`ServerHandle`] and the `serve*` constructors.
+
+use crate::admission::AdmissionConfig;
+use crate::quality::QualityConfig;
+use crate::transport::TransportWrapper;
+use cs2p_core::engine::EngineConfig;
+use cs2p_obs::{Clock, MonotonicClock};
+use std::sync::Arc;
+use std::thread;
+use std::time::Duration;
+
+mod app;
+mod conn;
+mod handle;
+
+pub use handle::{serve, serve_with, ServeStats, ServerHandle};
+
+/// Online model-refresh knobs (see [`ServeConfig::refresh`]).
+///
+/// The server holds its engine in a versioned `cs2p_core::ModelRegistry`.
+/// A refresh snapshots the completed-session window
+/// ([`crate::recorder::SessionRecorder`]), retrains with `train_config`
+/// (warm-starting every cluster from the live version), and publishes the
+/// result as the next [`cs2p_core::ModelVersion`] — a brief pointer swap.
+/// Sessions already in flight stay pinned to the version they registered
+/// on, so their HMM filter state never crosses models.
+#[derive(Debug, Clone)]
+pub struct RefreshConfig {
+    /// Training configuration used by every refresh.
+    pub train_config: EngineConfig,
+    /// Model versions kept fetchable for pinned readers (min 1).
+    pub retain: usize,
+    /// Background refresh period, measured on [`ServeConfig::clock`]
+    /// (swap in a `ManualClock` for deterministic tests). `None` disables
+    /// the background trigger; [`ServerHandle::refresh_models`] still
+    /// works.
+    pub interval: Option<Duration>,
+    /// A refresh is skipped (no-op) until the recorder holds at least
+    /// this many completed sessions.
+    pub min_sessions: usize,
+    /// Completed-session window size (oldest dropped beyond this).
+    pub recorder_capacity: usize,
+    /// Completed sessions with fewer observed epochs are not recorded.
+    pub recorder_min_epochs: usize,
+}
+
+impl Default for RefreshConfig {
+    fn default() -> Self {
+        RefreshConfig {
+            train_config: EngineConfig::default(),
+            retain: 4,
+            interval: None,
+            min_sessions: 20,
+            recorder_capacity: 10_000,
+            recorder_min_epochs: 2,
+        }
+    }
+}
+
+/// Tuning knobs for [`serve_with`]. `Default` is sized for tests and
+/// small deployments; every limit is explicit so the load tests can
+/// force eviction and backpressure deterministically.
+#[derive(Clone)]
+pub struct ServeConfig {
+    /// Session-store shards (parallelism of session-state access).
+    pub n_shards: usize,
+    /// Worker threads handling requests.
+    pub n_workers: usize,
+    /// Bounded request-queue depth; beyond this the server answers 503.
+    pub queue_depth: usize,
+    /// Session capacity bound across all shards (LRU beyond this).
+    pub max_sessions: usize,
+    /// Evict sessions idle for more than this many store accesses
+    /// (logical TTL — reproducible in tests; `None` disables).
+    pub session_ttl_requests: Option<u64>,
+    /// Concurrent connection cap; beyond this new connections get 503.
+    pub max_connections: usize,
+    /// Per-request socket read timeout.
+    pub read_timeout: Duration,
+    /// Per-response socket write timeout.
+    pub write_timeout: Duration,
+    /// Value of the `Retry-After` header on 503 responses.
+    pub retry_after_seconds: u64,
+    /// Slow-peer deadline: total time one request may take to arrive once
+    /// its first byte has been read (distinct from the idle keep-alive
+    /// wait, which never arms it, and from `read_timeout`, which a
+    /// byte-dribbling peer never trips). A violator's connection is cut
+    /// and `serve.fault.slow_peer_aborts` bumped. `None` disables.
+    pub slow_peer_deadline: Option<Duration>,
+    /// Time source for the slow-peer deadline — swap in a
+    /// [`cs2p_obs::ManualClock`] for deterministic tests.
+    pub clock: Arc<dyn Clock>,
+    /// Per-connection transport hook (fault injection, middleboxes).
+    /// `None` keeps the statically-dispatched `TcpStream` path.
+    pub transport_wrapper: Option<Arc<dyn TransportWrapper>>,
+    /// Online model-refresh configuration (registry retention, recorder
+    /// bounds, background trigger).
+    pub refresh: RefreshConfig,
+    /// Online prediction-quality monitoring (APE sketches, drift alarm;
+    /// see [`crate::quality`]). The alarm runs on [`ServeConfig::clock`].
+    pub quality: QualityConfig,
+    /// Overload degradation ladder (see [`crate::admission`]). The
+    /// default is disabled — the pre-ladder blanket-503 contract — so
+    /// turning the ladder on is an explicit operational decision
+    /// ([`AdmissionConfig::watermarks`] for the enabled defaults).
+    pub admission: AdmissionConfig,
+}
+
+impl std::fmt::Debug for ServeConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ServeConfig")
+            .field("n_shards", &self.n_shards)
+            .field("n_workers", &self.n_workers)
+            .field("queue_depth", &self.queue_depth)
+            .field("max_sessions", &self.max_sessions)
+            .field("session_ttl_requests", &self.session_ttl_requests)
+            .field("max_connections", &self.max_connections)
+            .field("read_timeout", &self.read_timeout)
+            .field("write_timeout", &self.write_timeout)
+            .field("retry_after_seconds", &self.retry_after_seconds)
+            .field("slow_peer_deadline", &self.slow_peer_deadline)
+            .field("transport_wrapper", &self.transport_wrapper.is_some())
+            .field("refresh", &self.refresh)
+            .field("quality", &self.quality)
+            .field("admission", &self.admission)
+            .finish()
+    }
+}
+
+impl Default for ServeConfig {
+    fn default() -> Self {
+        let workers = thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+            .clamp(2, 8);
+        ServeConfig {
+            n_shards: 8,
+            n_workers: workers,
+            queue_depth: 256,
+            max_sessions: 100_000,
+            session_ttl_requests: None,
+            max_connections: 1024,
+            read_timeout: Duration::from_secs(10),
+            write_timeout: Duration::from_secs(10),
+            retry_after_seconds: 1,
+            slow_peer_deadline: Some(Duration::from_secs(30)),
+            clock: Arc::new(MonotonicClock::new()),
+            transport_wrapper: None,
+            refresh: RefreshConfig::default(),
+            quality: QualityConfig::default(),
+            admission: AdmissionConfig::default(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::{read_response, write_request, Request, Response};
+    use crate::protocol::{
+        BatchPredictRequest, Health, PredictRequest, PredictResponse, SessionLog, MAX_BATCH_ENTRIES,
+    };
+    use cs2p_core::{ClientModel, ModelVersion};
+    use cs2p_testkit::scenarios::tiny_engine;
+    use std::io::{BufReader, BufWriter};
+    use std::net::{SocketAddr, TcpStream};
+    use std::time::Instant;
+
+    fn send(addr: SocketAddr, req: &Request) -> Response {
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = BufWriter::new(stream);
+        write_request(&mut writer, req).unwrap();
+        read_response(&mut reader).unwrap()
+    }
+
+    fn predict(addr: SocketAddr, preq: &PredictRequest) -> PredictResponse {
+        let body = serde_json::to_vec(preq).unwrap();
+        let resp = send(addr, &Request::new("POST", "/predict", body));
+        assert_eq!(resp.status, 200, "body: {:?}", resp.body);
+        serde_json::from_slice(&resp.body).unwrap()
+    }
+
+    #[test]
+    fn full_prediction_session_over_http() {
+        let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
+        let addr = server.addr();
+
+        // First request: features, no measurement -> initial prediction.
+        let r1 = predict(
+            addr,
+            &PredictRequest {
+                session_id: 1,
+                features: Some(vec![1]),
+                measured_mbps: None,
+                horizon: 3,
+            },
+        );
+        assert!(r1.initial);
+        assert_eq!(r1.predictions_mbps.len(), 3);
+        assert!((r1.predictions_mbps[0] - 5.0).abs() < 0.5);
+
+        // Midstream: send a measurement, get HMM predictions.
+        let r2 = predict(
+            addr,
+            &PredictRequest {
+                session_id: 1,
+                features: None,
+                measured_mbps: Some(5.1),
+                horizon: 1,
+            },
+        );
+        assert!(!r2.initial);
+        assert!((r2.predictions_mbps[0] - 5.0).abs() < 0.5);
+
+        assert_eq!(server.predictions_served(), 2);
+        server.shutdown();
+    }
+
+    #[test]
+    fn unknown_session_without_features_is_404() {
+        let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
+        let body = serde_json::to_vec(&PredictRequest {
+            session_id: 9,
+            features: None,
+            measured_mbps: Some(1.0),
+            horizon: 1,
+        })
+        .unwrap();
+        let resp = send(server.addr(), &Request::new("POST", "/predict", body));
+        assert_eq!(resp.status, 404, "unknown session must trigger re-init");
+        server.shutdown();
+    }
+
+    #[test]
+    fn model_endpoint_serves_client_model() {
+        let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
+        let resp = send(
+            server.addr(),
+            &Request::new("GET", "/model?features=0", bytes::Bytes::new()),
+        );
+        assert_eq!(resp.status, 200);
+        let cm = ClientModel::from_json(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+        assert!((cm.model.initial_median - 1.0).abs() < 0.5);
+        assert!(resp.body.len() < 5 * 1024, "model payload exceeds 5 KB");
+        server.shutdown();
+    }
+
+    #[test]
+    fn log_upload_and_retrieval() {
+        let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
+        let log = SessionLog {
+            session_id: 3,
+            strategy: "CS2P+MPC".into(),
+            qoe: 100.0,
+            avg_bitrate_kbps: 1000.0,
+            good_ratio: 1.0,
+            rebuffer_seconds: 0.0,
+            startup_delay_seconds: 0.5,
+            throughput_pairs: vec![],
+            bitrates_kbps: vec![],
+        };
+        let resp = send(
+            server.addr(),
+            &Request::new("POST", "/log", serde_json::to_vec(&log).unwrap()),
+        );
+        assert_eq!(resp.status, 204);
+        assert_eq!(server.logs(), vec![log]);
+        server.shutdown();
+    }
+
+    #[test]
+    fn stats_endpoint_aggregates_logs() {
+        let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
+        for (strategy, qoe) in [("CS2P+MPC", 100.0), ("CS2P+MPC", 300.0), ("HM+MPC", 50.0)] {
+            let log = SessionLog {
+                session_id: 1,
+                strategy: strategy.into(),
+                qoe,
+                avg_bitrate_kbps: 1000.0,
+                good_ratio: 1.0,
+                rebuffer_seconds: 0.0,
+                startup_delay_seconds: 0.5,
+                throughput_pairs: vec![],
+                bitrates_kbps: vec![],
+            };
+            let resp = send(
+                server.addr(),
+                &Request::new("POST", "/log", serde_json::to_vec(&log).unwrap()),
+            );
+            assert_eq!(resp.status, 204);
+        }
+        let resp = send(
+            server.addr(),
+            &Request::new("GET", "/stats", bytes::Bytes::new()),
+        );
+        assert_eq!(resp.status, 200);
+        let stats: crate::protocol::LogStats = serde_json::from_slice(&resp.body).unwrap();
+        assert_eq!(stats.strategies.len(), 2);
+        assert_eq!(stats.strategies[0].n_sessions, 2);
+        assert!((stats.strategies[0].mean_qoe - 200.0).abs() < 1e-12);
+        server.shutdown();
+    }
+
+    #[test]
+    fn healthz_reports_counters() {
+        let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
+        predict(
+            server.addr(),
+            &PredictRequest {
+                session_id: 5,
+                features: Some(vec![0]),
+                measured_mbps: None,
+                horizon: 1,
+            },
+        );
+        let resp = send(
+            server.addr(),
+            &Request::new("GET", "/healthz", bytes::Bytes::new()),
+        );
+        let health: Health = serde_json::from_slice(&resp.body).unwrap();
+        assert_eq!(health.status, "ok");
+        assert_eq!(health.n_sessions, 1);
+        assert_eq!(health.predictions_served, 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn unknown_endpoint_404s_and_bad_method_405s() {
+        let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
+        let resp = send(
+            server.addr(),
+            &Request::new("GET", "/nope", bytes::Bytes::new()),
+        );
+        assert_eq!(resp.status, 404);
+        let resp = send(
+            server.addr(),
+            &Request::new("DELETE", "/predict", bytes::Bytes::new()),
+        );
+        assert_eq!(resp.status, 405);
+        server.shutdown();
+    }
+
+    #[test]
+    fn keep_alive_connection_serves_many_requests() {
+        let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = BufWriter::new(stream);
+        for i in 0..5 {
+            let preq = PredictRequest {
+                session_id: 42,
+                features: if i == 0 { Some(vec![1]) } else { None },
+                measured_mbps: if i == 0 { None } else { Some(5.0) },
+                horizon: 1,
+            };
+            let req = Request::new("POST", "/predict", serde_json::to_vec(&preq).unwrap());
+            write_request(&mut writer, &req).unwrap();
+            let resp = read_response(&mut reader).unwrap();
+            assert_eq!(resp.status, 200);
+        }
+        assert_eq!(server.predictions_served(), 5);
+        server.shutdown();
+    }
+
+    #[test]
+    fn pipelined_requests_all_get_responses() {
+        let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = BufWriter::new(stream);
+        // Write several requests back-to-back before reading anything.
+        let n = 4;
+        for i in 0..n {
+            let preq = PredictRequest {
+                session_id: 77,
+                features: if i == 0 { Some(vec![0]) } else { None },
+                measured_mbps: if i == 0 { None } else { Some(1.0) },
+                horizon: 1,
+            };
+            write_request(
+                &mut writer,
+                &Request::new("POST", "/predict", serde_json::to_vec(&preq).unwrap()),
+            )
+            .unwrap();
+        }
+        for _ in 0..n {
+            let resp = read_response(&mut reader).unwrap();
+            assert_eq!(resp.status, 200);
+        }
+        assert_eq!(server.predictions_served(), n as u64);
+        server.shutdown();
+    }
+
+    fn predict_batch(
+        addr: SocketAddr,
+        entries: Vec<PredictRequest>,
+    ) -> crate::protocol::BatchPredictResponse {
+        let body = serde_json::to_vec(&BatchPredictRequest { entries }).unwrap();
+        let resp = send(addr, &Request::new("POST", "/predict_batch", body));
+        assert_eq!(resp.status, 200, "body: {:?}", resp.body);
+        serde_json::from_slice(&resp.body).unwrap()
+    }
+
+    #[test]
+    fn batch_matches_its_sequential_expansion() {
+        // Same per-session request stream, once as sequential singles,
+        // once as batch frames — predictions must be bit-identical.
+        let entries_of_epoch = |epoch: usize| -> Vec<PredictRequest> {
+            (0..6u64)
+                .map(|sid| PredictRequest {
+                    session_id: 100 + sid,
+                    features: (epoch == 0).then(|| vec![(sid % 2) as u32]),
+                    measured_mbps: (epoch > 0).then_some(1.0 + sid as f64 / 3.0),
+                    horizon: 2,
+                })
+                .collect()
+        };
+
+        let sequential = serve(tiny_engine(), "127.0.0.1:0").unwrap();
+        let mut expect: Vec<PredictResponse> = Vec::new();
+        for epoch in 0..3 {
+            for preq in entries_of_epoch(epoch) {
+                expect.push(predict(sequential.addr(), &preq));
+            }
+        }
+        let served = sequential.predictions_served();
+        sequential.shutdown();
+
+        let batched = serve_with(
+            tiny_engine(),
+            "127.0.0.1:0",
+            ServeConfig {
+                n_shards: 4,
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let mut got: Vec<PredictResponse> = Vec::new();
+        for epoch in 0..3 {
+            let bresp = predict_batch(batched.addr(), entries_of_epoch(epoch));
+            for r in bresp.results {
+                assert_eq!(r.status, 200, "error: {:?}", r.error);
+                got.push(r.response.unwrap());
+            }
+        }
+        assert_eq!(expect, got);
+        assert_eq!(batched.predictions_served(), served);
+        batched.shutdown();
+    }
+
+    #[test]
+    fn batch_duplicate_session_entries_run_in_frame_order() {
+        // Registration and two measurements for one session in a single
+        // frame: the filter must advance exactly as three singles would.
+        let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
+        let entry = |features: Option<Vec<u32>>, measured: Option<f64>| PredictRequest {
+            session_id: 9,
+            features,
+            measured_mbps: measured,
+            horizon: 1,
+        };
+        let bresp = predict_batch(
+            server.addr(),
+            vec![
+                entry(Some(vec![1]), None),
+                entry(None, Some(5.2)),
+                entry(None, Some(4.9)),
+            ],
+        );
+        assert!(bresp.results.iter().all(|r| r.status == 200));
+        assert!(bresp.results[0].response.as_ref().unwrap().initial);
+        assert!(!bresp.results[1].response.as_ref().unwrap().initial);
+        assert!(!bresp.results[2].response.as_ref().unwrap().initial);
+
+        let control = serve(tiny_engine(), "127.0.0.1:0").unwrap();
+        let expect = [
+            predict(control.addr(), &entry(Some(vec![1]), None)),
+            predict(control.addr(), &entry(None, Some(5.2))),
+            predict(control.addr(), &entry(None, Some(4.9))),
+        ];
+        for (r, e) in bresp.results.iter().zip(&expect) {
+            assert_eq!(r.response.as_ref().unwrap(), e);
+        }
+        control.shutdown();
+        server.shutdown();
+    }
+
+    #[test]
+    fn batch_partial_failures_answer_per_entry_statuses() {
+        let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
+        let bresp = predict_batch(
+            server.addr(),
+            vec![
+                PredictRequest {
+                    session_id: 1,
+                    features: Some(vec![0]),
+                    measured_mbps: None,
+                    horizon: 1,
+                },
+                // Unknown session, no features: per-entry 404.
+                PredictRequest {
+                    session_id: 2,
+                    features: None,
+                    measured_mbps: Some(1.0),
+                    horizon: 1,
+                },
+                // Invalid horizon: per-entry 400.
+                PredictRequest {
+                    session_id: 3,
+                    features: Some(vec![0]),
+                    measured_mbps: None,
+                    horizon: 0,
+                },
+                // Feature width mismatch: per-entry 400.
+                PredictRequest {
+                    session_id: 4,
+                    features: Some(vec![0, 1, 2]),
+                    measured_mbps: None,
+                    horizon: 1,
+                },
+            ],
+        );
+        let statuses: Vec<u16> = bresp.results.iter().map(|r| r.status).collect();
+        assert_eq!(statuses, [200, 404, 400, 400]);
+        assert!(bresp.results[1]
+            .error
+            .as_deref()
+            .unwrap()
+            .contains("unknown session"));
+        // Only the successful entry counts as served.
+        assert_eq!(server.predictions_served(), 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn empty_and_oversized_batches_are_400() {
+        let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
+        let body = serde_json::to_vec(&BatchPredictRequest { entries: vec![] }).unwrap();
+        let resp = send(server.addr(), &Request::new("POST", "/predict_batch", body));
+        assert_eq!(resp.status, 400, "empty batch must be a 400, not a 500");
+
+        let too_many: Vec<PredictRequest> = (0..=MAX_BATCH_ENTRIES as u64)
+            .map(|sid| PredictRequest {
+                session_id: sid,
+                features: Some(vec![0]),
+                measured_mbps: None,
+                horizon: 1,
+            })
+            .collect();
+        let body = serde_json::to_vec(&BatchPredictRequest { entries: too_many }).unwrap();
+        let resp = send(server.addr(), &Request::new("POST", "/predict_batch", body));
+        assert_eq!(resp.status, 400);
+        assert_eq!(
+            server.predictions_served(),
+            0,
+            "rejected batches serve nothing"
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn invalid_measurement_rejected() {
+        let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
+        predict(
+            server.addr(),
+            &PredictRequest {
+                session_id: 8,
+                features: Some(vec![0]),
+                measured_mbps: None,
+                horizon: 1,
+            },
+        );
+        let raw = br#"{"session_id":8,"features":null,"measured_mbps":-1.0,"horizon":1}"#;
+        let resp = send(server.addr(), &Request::new("POST", "/predict", &raw[..]));
+        assert_eq!(resp.status, 400);
+        server.shutdown();
+    }
+
+    #[test]
+    fn concurrent_sessions_have_independent_state() {
+        let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
+        let addr = server.addr();
+        let handles: Vec<_> = (0..4)
+            .map(|sid| {
+                thread::spawn(move || {
+                    let isp = (sid % 2) as u32;
+                    let r = predict(
+                        addr,
+                        &PredictRequest {
+                            session_id: 100 + sid,
+                            features: Some(vec![isp]),
+                            measured_mbps: None,
+                            horizon: 1,
+                        },
+                    );
+                    (isp, r.predictions_mbps[0])
+                })
+            })
+            .collect();
+        for h in handles {
+            let (isp, pred) = h.join().unwrap();
+            let expected = if isp == 0 { 1.0 } else { 5.0 };
+            assert!((pred - expected).abs() < 0.5, "isp {isp}: {pred}");
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn connection_limit_yields_503_with_retry_after() {
+        let config = ServeConfig {
+            max_connections: 1,
+            ..ServeConfig::default()
+        };
+        let server = serve_with(tiny_engine(), "127.0.0.1:0", config).unwrap();
+        // Occupy the only slot with a live keep-alive connection.
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = BufWriter::new(stream);
+        write_request(
+            &mut writer,
+            &Request::new("GET", "/healthz", bytes::Bytes::new()),
+        )
+        .unwrap();
+        assert_eq!(read_response(&mut reader).unwrap().status, 200);
+        // The second connection must be refused with backpressure.
+        let resp = send(
+            server.addr(),
+            &Request::new("GET", "/healthz", bytes::Bytes::new()),
+        );
+        assert_eq!(resp.status, 503);
+        assert_eq!(resp.header("retry-after"), Some("1"));
+        let stats = server.shutdown();
+        assert!(stats.rejected >= 1);
+    }
+
+    #[test]
+    fn lru_eviction_bounds_sessions_and_evicted_reregisters() {
+        let config = ServeConfig {
+            n_shards: 1,
+            max_sessions: 2,
+            ..ServeConfig::default()
+        };
+        let server = serve_with(tiny_engine(), "127.0.0.1:0", config).unwrap();
+        let addr = server.addr();
+        for sid in 0..3 {
+            predict(
+                addr,
+                &PredictRequest {
+                    session_id: sid,
+                    features: Some(vec![0]),
+                    measured_mbps: None,
+                    horizon: 1,
+                },
+            );
+        }
+        let stats = server.stats();
+        assert!(stats.sessions_live <= 2, "live: {}", stats.sessions_live);
+        assert_eq!(stats.sessions_evicted, 1);
+        // Session 0 was LRU-evicted; without features it is unknown…
+        let body = serde_json::to_vec(&PredictRequest {
+            session_id: 0,
+            features: None,
+            measured_mbps: Some(1.0),
+            horizon: 1,
+        })
+        .unwrap();
+        let resp = send(addr, &Request::new("POST", "/predict", body));
+        assert_eq!(resp.status, 404);
+        // …and with features it cleanly re-registers.
+        let r = predict(
+            addr,
+            &PredictRequest {
+                session_id: 0,
+                features: Some(vec![0]),
+                measured_mbps: None,
+                horizon: 1,
+            },
+        );
+        assert!(r.initial);
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_twice_via_drop_is_safe() {
+        let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
+        let addr = server.addr();
+        predict(
+            addr,
+            &PredictRequest {
+                session_id: 1,
+                features: Some(vec![0]),
+                measured_mbps: None,
+                horizon: 1,
+            },
+        );
+        let stats = server.shutdown();
+        assert_eq!(stats.predictions_served, 1);
+        // The port is released: a fresh server can bind it again.
+        let again = serve(tiny_engine(), &addr.to_string());
+        if let Ok(s) = again {
+            s.shutdown();
+        }
+    }
+
+    #[test]
+    fn responses_carry_model_version_and_sessions_stay_pinned_across_swap() {
+        use cs2p_testkit::scenarios::{tiny_dataset, tiny_train_config};
+        let config = ServeConfig {
+            refresh: RefreshConfig {
+                train_config: tiny_train_config(),
+                ..RefreshConfig::default()
+            },
+            ..ServeConfig::default()
+        };
+        let server = serve_with(tiny_engine(), "127.0.0.1:0", config).unwrap();
+        let addr = server.addr();
+        let r1 = predict(
+            addr,
+            &PredictRequest {
+                session_id: 1,
+                features: Some(vec![1]),
+                measured_mbps: None,
+                horizon: 1,
+            },
+        );
+        assert_eq!(r1.model_version, 1);
+        // Hot-swap a model trained on data drifted up by 2 Mbps.
+        let (v2, summary) = server
+            .refresh_models_with(&tiny_dataset(2.0))
+            .expect("refresh trains");
+        assert_eq!(v2, ModelVersion(2));
+        assert!(summary.warm_started > 0, "refresh must warm-start");
+        assert_eq!(server.model_version(), v2);
+        assert_eq!(server.stats().model_version, 2);
+        // The in-flight session stays pinned to v1 and its old regime…
+        let r2 = predict(
+            addr,
+            &PredictRequest {
+                session_id: 1,
+                features: None,
+                measured_mbps: Some(5.0),
+                horizon: 1,
+            },
+        );
+        assert_eq!(r2.model_version, 1, "midstream session must stay pinned");
+        assert!((r2.predictions_mbps[0] - 5.0).abs() < 0.5);
+        // …while a session registering after the swap gets v2's regime.
+        let r3 = predict(
+            addr,
+            &PredictRequest {
+                session_id: 2,
+                features: Some(vec![1]),
+                measured_mbps: None,
+                horizon: 1,
+            },
+        );
+        assert_eq!(r3.model_version, 2);
+        assert!((r3.predictions_mbps[0] - 7.0).abs() < 0.5);
+        server.shutdown();
+    }
+
+    #[test]
+    fn completed_sessions_feed_the_recorder_and_refresh_swaps() {
+        use cs2p_testkit::scenarios::tiny_train_config;
+        let config = ServeConfig {
+            refresh: RefreshConfig {
+                train_config: tiny_train_config(),
+                min_sessions: 2,
+                ..RefreshConfig::default()
+            },
+            ..ServeConfig::default()
+        };
+        let server = serve_with(tiny_engine(), "127.0.0.1:0", config).unwrap();
+        let addr = server.addr();
+        // Too few completed sessions: refresh is a no-op.
+        assert!(server.refresh_models().is_none());
+        for sid in [10u64, 11] {
+            let isp = (sid % 2) as u32;
+            let mbps = if isp == 0 { 1.0 } else { 5.0 };
+            for epoch in 0..5 {
+                predict(
+                    addr,
+                    &PredictRequest {
+                        session_id: sid,
+                        features: (epoch == 0).then(|| vec![isp]),
+                        measured_mbps: (epoch > 0).then_some(mbps),
+                        horizon: 1,
+                    },
+                );
+            }
+        }
+        // One session completes via its /log upload, one via eviction.
+        let log = SessionLog {
+            session_id: 10,
+            strategy: "CS2P+MPC".into(),
+            qoe: 1.0,
+            avg_bitrate_kbps: 1000.0,
+            good_ratio: 1.0,
+            rebuffer_seconds: 0.0,
+            startup_delay_seconds: 0.5,
+            throughput_pairs: vec![],
+            bitrates_kbps: vec![],
+        };
+        let resp = send(
+            addr,
+            &Request::new("POST", "/log", serde_json::to_vec(&log).unwrap()),
+        );
+        assert_eq!(resp.status, 204);
+        assert!(server.force_evict(11));
+        assert_eq!(server.recorded_sessions(), 2);
+        assert_eq!(server.stats().recorded_sessions, 2);
+        let (version, _) = server.refresh_models().expect("enough sessions recorded");
+        assert_eq!(version, ModelVersion(2));
+        server.shutdown();
+    }
+
+    #[test]
+    fn background_refresher_fires_on_the_injectable_clock() {
+        use cs2p_testkit::scenarios::tiny_train_config;
+        let clock = Arc::new(cs2p_obs::ManualClock::new());
+        let config = ServeConfig {
+            clock: Arc::clone(&clock) as Arc<dyn Clock>,
+            refresh: RefreshConfig {
+                train_config: tiny_train_config(),
+                interval: Some(Duration::from_secs(60)),
+                min_sessions: 2,
+                ..RefreshConfig::default()
+            },
+            ..ServeConfig::default()
+        };
+        let server = serve_with(tiny_engine(), "127.0.0.1:0", config).unwrap();
+        let addr = server.addr();
+        for sid in [20u64, 21] {
+            let isp = (sid % 2) as u32;
+            let mbps = if isp == 0 { 1.0 } else { 5.0 };
+            for epoch in 0..5 {
+                predict(
+                    addr,
+                    &PredictRequest {
+                        session_id: sid,
+                        features: (epoch == 0).then(|| vec![isp]),
+                        measured_mbps: (epoch > 0).then_some(mbps),
+                        horizon: 1,
+                    },
+                );
+            }
+            assert!(server.force_evict(sid));
+        }
+        assert_eq!(server.recorded_sessions(), 2);
+        assert_eq!(server.model_version(), ModelVersion(1));
+        // Advance the injectable clock past the interval; the refresher
+        // (polling every millisecond of real time) picks it up.
+        clock.advance(Duration::from_secs(61).as_micros() as u64);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.model_version() < ModelVersion(2) && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(
+            server.model_version(),
+            ModelVersion(2),
+            "background refresh must fire after the clock advances"
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn worker_count_one_still_serves_concurrent_clients() {
+        let config = ServeConfig {
+            n_workers: 1,
+            ..ServeConfig::default()
+        };
+        let server = serve_with(tiny_engine(), "127.0.0.1:0", config).unwrap();
+        let addr = server.addr();
+        let handles: Vec<_> = (0..4)
+            .map(|sid| {
+                thread::spawn(move || {
+                    for epoch in 0..3 {
+                        let preq = PredictRequest {
+                            session_id: 200 + sid,
+                            features: if epoch == 0 { Some(vec![1]) } else { None },
+                            measured_mbps: if epoch == 0 { None } else { Some(5.0) },
+                            horizon: 1,
+                        };
+                        predict(addr, &preq);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(server.predictions_served(), 12);
+        server.shutdown();
+    }
+}

@@ -390,6 +390,39 @@ fn forced_eviction_mid_batch_answers_a_per_entry_404() {
         "re-registration replay must work mid-batch"
     );
     assert_eq!(server.stats().sessions_live, 3, "session re-registered");
+
+    // An invalid entry is resolved before grouping and never reaches the
+    // store: alone on its shard, it costs no lock. The frame below spans
+    // two shards but pays for one group — the valid entry's.
+    let store = cs2p_net::SessionStore::<()>::new(ServeConfig::default().n_shards, 8, None);
+    let lonely = (1_000u64..)
+        .find(|id| store.shard_of(*id) != store.shard_of(21))
+        .unwrap();
+    let groups0 = counter("serve.batch.shard_groups");
+    let breq = BatchPredictRequest {
+        entries: vec![
+            measure(21),
+            PredictRequest {
+                horizon: 0,
+                ..measure(lonely)
+            },
+        ],
+    };
+    let resp = client
+        .send(&cs2p_net::http::Request::new(
+            "POST",
+            "/predict_batch",
+            breq.to_json_bytes(),
+        ))
+        .unwrap();
+    let bresp: BatchPredictResponse = serde_json::from_slice(&resp.body).unwrap();
+    let statuses: Vec<u16> = bresp.results.iter().map(|r| r.status).collect();
+    assert_eq!(statuses, [200, 400]);
+    assert_eq!(
+        counter("serve.batch.shard_groups") - groups0,
+        1,
+        "only groups of valid entries take a shard lock"
+    );
     server.shutdown();
 }
 

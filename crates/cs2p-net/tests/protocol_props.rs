@@ -191,6 +191,10 @@ proptest! {
         let bresp = BatchPredictResponse { results };
         prop_assert_eq!(roundtrip(&bresp), bresp.clone());
         prop_assert_eq!(bresp.to_json_bytes(), serde_json::to_vec(&bresp).unwrap());
+        // `POST /predict` ships the same writer's bytes for one response.
+        for resp in bresp.results.iter().filter_map(|r| r.response.as_ref()) {
+            prop_assert_eq!(resp.to_json_bytes(), serde_json::to_vec(resp).unwrap());
+        }
     }
 
     #[test]

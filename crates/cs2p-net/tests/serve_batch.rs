@@ -353,7 +353,10 @@ fn shed_refuses_a_frame_whole_and_counts_it_once() {
         horizon: 0,
         ..entries[0].clone()
     };
-    assert_eq!(drive_singleton(a.addr(), &[invalid])[0].0, 400);
+    assert_eq!(
+        drive_singleton(a.addr(), std::slice::from_ref(&invalid))[0].0,
+        400
+    );
     assert_eq!(shed_of(&a), entries.len() as u64, "a 400 is not a shed");
     let sa = a.shutdown();
 
@@ -372,6 +375,11 @@ fn shed_refuses_a_frame_whole_and_counts_it_once() {
         assert!(resp.header("retry-after").is_some());
         frames += 1;
     }
+    assert_eq!(shed_of(&b), frames);
+    // A frame with nothing valid in it has nothing to shed: it answers
+    // its 400s inline, exactly as its sequential expansion does.
+    let outcomes = drive_batched(b.addr(), &[invalid.clone(), invalid], 2);
+    assert!(outcomes.iter().all(|o| o.0 == 400));
     assert_eq!(shed_of(&b), frames);
     let sb = b.shutdown();
     assert_eq!(sa.predictions_served, 0);
