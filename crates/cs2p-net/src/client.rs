@@ -11,7 +11,7 @@
 use crate::http::{read_response, write_request, Request, Response};
 use crate::protocol::{
     BatchEntryResult, BatchPredictRequest, BatchPredictResponse, Degradation, PredictRequest,
-    PredictResponse, SessionLog, MAX_BATCH_ENTRIES,
+    SessionLog, MAX_BATCH_ENTRIES,
 };
 use crate::transport::{IoHalf, TransportWrapper};
 use bytes::Bytes;
@@ -732,122 +732,120 @@ impl RemotePredictor {
         }
     }
 
+    /// This session's next entry: features until a registration has been
+    /// acknowledged, plus the unshipped measurement. The measurement
+    /// *moves* into the request; [`Self::absorb`] restores it if its entry
+    /// comes back 404, the transports if the request gets no answer.
+    fn next_request(&mut self, horizon: usize) -> PredictRequest {
+        PredictRequest {
+            session_id: self.session_id,
+            features: (!self.registered).then(|| self.features.clone()),
+            measured_mbps: self.pending_measurement.take(),
+            horizon,
+        }
+    }
+
     /// Ensures the cache covers `k` epochs ahead, POSTing if necessary.
     /// Returns `None` on network failure or server backpressure
     /// (prediction is best-effort; the player degrades to no-prediction
     /// behaviour rather than stalling). If the server evicted this
     /// session (404 "unknown session"), re-registers transparently by
-    /// resending the features.
+    /// resending the features — per *entry* when batching, exactly like
+    /// the singleton transport.
     fn ensure_cache(&mut self, k: usize) -> Option<()> {
         let dirty = self.pending_measurement.is_some() || !self.registered;
         if !dirty && self.cache.len() >= k {
             return Some(());
         }
-        if self.client.batching_enabled() {
-            return self.ensure_cache_batched(k);
-        }
         // Two attempts: the second only after a 404 told us the server
         // no longer knows this session and we must resend features.
         for _ in 0..2 {
-            let preq = PredictRequest {
-                session_id: self.session_id,
-                features: if self.registered {
-                    None
-                } else {
-                    Some(self.features.clone())
-                },
-                measured_mbps: self.pending_measurement,
-                horizon: self.fetch_horizon.max(k),
+            let preq = self.next_request(self.fetch_horizon.max(k));
+            let results = if self.client.batching_enabled() {
+                self.flush_with(preq)?
+            } else {
+                vec![self.post_single(preq)?]
             };
-            let body = serde_json::to_vec(&preq).ok()?;
-            let resp = self
-                .client
-                .send(&Request::new("POST", "/predict", body))
-                .ok()?;
-            match resp.status {
-                200..=299 => {
-                    let presp: PredictResponse = serde_json::from_slice(&resp.body).ok()?;
-                    self.registered = true;
-                    self.pending_measurement = None;
-                    self.cache = presp.predictions_mbps;
-                    self.cache_initial = presp.initial;
-                    self.note_degradation(presp.degradation);
-                    return Some(());
-                }
-                404 if self.registered => {
-                    // Evicted server-side: re-register with features and
-                    // keep the pending measurement — it still seeds the
-                    // fresh filter with the latest real observation.
-                    cs2p_obs::counter_add("predict.client.reinit", 1);
-                    self.registered = false;
-                    self.cache.clear();
-                }
-                503 => {
-                    cs2p_obs::counter_add("predict.client.backpressure", 1);
-                    // The 503 carried `Connection: close`; charge the
-                    // client's persistent backoff state so a 503 burst
-                    // escalates the wait instead of hammering the server.
-                    self.client.note_backpressure();
-                    self.client.reset_connection();
-                    return None;
-                }
-                _ => return None,
+            let evicted = self.absorb(&results);
+            let ok = results
+                .last()
+                .is_some_and(|(_, r)| (200..300).contains(&r.status));
+            if ok {
+                return Some(());
             }
+            if !evicted {
+                return None;
+            }
+            // Evicted server-side: loop once more with features.
         }
         None
     }
 
-    /// The batched twin of the loop above: queues this session's request
-    /// into the client's coalescing buffer and forces a flush (this
-    /// predictor is blocking — it needs the answer now, but the flush
-    /// also carries any entries [`Self::observe`] coalesced earlier).
-    /// The 404 re-register handshake is per *entry*: an evicted session
-    /// resends features on the second attempt exactly like the singleton
-    /// path.
-    fn ensure_cache_batched(&mut self, k: usize) -> Option<()> {
-        for _ in 0..2 {
-            let preq = PredictRequest {
-                session_id: self.session_id,
-                features: if self.registered {
-                    None
-                } else {
-                    Some(self.features.clone())
-                },
-                // The measurement moves into the queue; `absorb`
-                // restores it if its entry comes back 404.
-                measured_mbps: self.pending_measurement.take(),
-                horizon: self.fetch_horizon.max(k),
-            };
-            let flush = match self.client.queue_predict(preq) {
-                Ok(Some(flush)) => flush,
-                Ok(None) => self.client.flush_predicts().ok()?,
-                Err(_) => return None,
-            };
-            match flush {
-                BatchFlush::Done(results) => {
-                    let evicted = self.absorb(&results);
-                    let ok = results
-                        .last()
-                        .is_some_and(|(_, r)| (200..300).contains(&r.status));
-                    if ok {
-                        return Some(());
-                    }
-                    if !evicted {
-                        return None;
-                    }
-                    // Evicted server-side: loop once more with features.
-                }
-                BatchFlush::Backpressure => {
-                    cs2p_obs::counter_add("predict.client.backpressure", 1);
-                    return None;
-                }
+    /// The batched transport: queues `preq` into the client's coalescing
+    /// buffer and forces a flush (this predictor is blocking — it needs
+    /// the answer now, but the flush also carries any entries
+    /// [`Self::observe`] coalesced earlier). An unanswered frame stays
+    /// queued in the client, measurements included.
+    fn flush_with(
+        &mut self,
+        preq: PredictRequest,
+    ) -> Option<Vec<(PredictRequest, BatchEntryResult)>> {
+        let flush = match self.client.queue_predict(preq) {
+            Ok(Some(flush)) => flush,
+            Ok(None) => self.client.flush_predicts().ok()?,
+            Err(_) => return None,
+        };
+        match flush {
+            BatchFlush::Done(results) => Some(results),
+            BatchFlush::Backpressure => {
+                cs2p_obs::counter_add("predict.client.backpressure", 1);
+                None
             }
         }
-        None
     }
 
-    /// Applies batch results to the session bookkeeping, in frame order.
-    /// Returns whether any entry reported the session evicted (404).
+    /// The singleton transport: one `/predict` round trip, answered in
+    /// the shape a batch frame answers an entry so [`Self::absorb`] books
+    /// both. Only a 200 or a 404 is an answer; after anything else
+    /// (transport failure, 503, another status, an unparseable body) the
+    /// measurement goes back to `pending_measurement` — it reached no
+    /// filter, and the next call resends it.
+    fn post_single(&mut self, preq: PredictRequest) -> Option<(PredictRequest, BatchEntryResult)> {
+        let Some(answer) = self.try_post_single(&preq) else {
+            self.pending_measurement = preq.measured_mbps;
+            return None;
+        };
+        Some((preq, answer))
+    }
+
+    fn try_post_single(&mut self, preq: &PredictRequest) -> Option<BatchEntryResult> {
+        let body = serde_json::to_vec(preq).ok()?;
+        let resp = self
+            .client
+            .send(&Request::new("POST", "/predict", body))
+            .ok()?;
+        match resp.status {
+            200..=299 => Some(BatchEntryResult::ok(
+                serde_json::from_slice(&resp.body).ok()?,
+            )),
+            404 => Some(BatchEntryResult::failed(404, "unknown session")),
+            503 => {
+                cs2p_obs::counter_add("predict.client.backpressure", 1);
+                // The 503 carried `Connection: close`; charge the
+                // client's persistent backoff state so a 503 burst
+                // escalates the wait instead of hammering the server.
+                self.client.note_backpressure();
+                self.client.reset_connection();
+                None
+            }
+            _ => None,
+        }
+    }
+
+    /// Applies answered entries to the session bookkeeping, in frame
+    /// order — the one place a 200 or a 404 is booked, whichever transport
+    /// carried it. Returns whether any entry reported the session evicted
+    /// (404).
     fn absorb(&mut self, results: &[(PredictRequest, BatchEntryResult)]) -> bool {
         let mut evicted = false;
         for (req, r) in results {
@@ -865,9 +863,10 @@ impl RemotePredictor {
                     evicted = true;
                     self.registered = false;
                     self.cache.clear();
-                    // The measurement this entry carried never reached a
-                    // filter; reclaim it so the re-registered session's
-                    // fresh filter still sees the latest observation.
+                    // Evicted server-side. The measurement this entry
+                    // carried never reached a filter; reclaim it so the
+                    // re-registered session's fresh filter still sees
+                    // the latest observation.
                     if self.pending_measurement.is_none() {
                         self.pending_measurement = req.measured_mbps;
                     }
@@ -922,16 +921,7 @@ impl ThroughputPredictor for RemotePredictor {
                 // queue instead of paying a round trip now; a flush (here
                 // if a threshold trips, else at the next prediction)
                 // delivers it in order.
-                let entry = PredictRequest {
-                    session_id: self.session_id,
-                    features: if self.registered {
-                        None
-                    } else {
-                        Some(self.features.clone())
-                    },
-                    measured_mbps: self.pending_measurement.take(),
-                    horizon: 1,
-                };
+                let entry = self.next_request(1);
                 if let Ok(Some(BatchFlush::Done(results))) = self.client.queue_predict(entry) {
                     self.absorb(&results);
                 }

@@ -228,13 +228,7 @@ pub fn write_request<W: Write>(writer: &mut W, req: &Request) -> io::Result<()> 
 
 /// Writes a response with `Content-Length`.
 pub fn write_response<W: Write>(writer: &mut W, resp: &Response) -> io::Result<()> {
-    write!(writer, "HTTP/1.1 {} {}\r\n", resp.status, resp.reason)?;
-    for (name, value) in &resp.headers {
-        write!(writer, "{name}: {value}\r\n")?;
-    }
-    write!(writer, "content-length: {}\r\n\r\n", resp.body.len())?;
-    writer.write_all(&resp.body)?;
-    writer.flush()
+    write_response_buffered(writer, resp, &mut IoScratch::default())
 }
 
 /// [`write_response`] through a reusable serialization buffer: the whole

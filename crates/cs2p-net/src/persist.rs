@@ -22,20 +22,25 @@
 //!   tree costs real serving throughput (see `persist-bench`).
 //! - **Snapshot compaction**: every
 //!   [`PersistConfig::snapshot_every_records`] records the WAL rotates to
-//!   a new generation, the sharded store is captured into a
-//!   [`StoreSnapshot`] written atomically (write-temp + fsync + rename),
-//!   and fully-covered generations are unlinked. A snapshot taken while
-//!   serving may already reflect some records of the new generation;
-//!   replay is idempotent over that window (absolute filter/pending
-//!   values, `observed_len`-guarded measurement appends).
+//!   a new generation, the sharded store is captured into `store.snap`,
+//!   written atomically (write-temp + fsync + rename), and fully-covered
+//!   generations are unlinked. The snapshot is the WAL's own format — a
+//!   header frame, then one CRC32-framed [`WalRecord::Register`] per live
+//!   session — so session state has one encoding on disk and every byte
+//!   of it is checksummed. A snapshot taken while serving may already
+//!   reflect some records of the new generation; replay is idempotent
+//!   over that window (absolute filter/pending values,
+//!   `observed_len`-guarded measurement appends).
 //! - **Model registry**: [`RegistryDir`] implements
 //!   [`cs2p_core::RegistryPersistence`] — every published version's
 //!   [`ModelBundle`] is written at retrain time, the current-version
 //!   pointer is swapped atomically, and GC unlinks retained-out bundles.
-//! - **Recovery** ([`recover`]): loads the snapshot, replays every
-//!   uncovered WAL generation in order, and stops at the first torn or
-//!   corrupt record — the longest valid prefix wins, and recovery never
-//!   panics on arbitrary bytes. `ServerHandle::open_or_recover` turns the
+//! - **Recovery** ([`recover`]): replays the snapshot's records, then
+//!   every uncovered WAL generation in order, through one replay step,
+//!   and stops at the first torn or corrupt WAL record — the longest
+//!   valid prefix wins, a snapshot with any bad frame is absent as a
+//!   whole, and recovery never panics on arbitrary bytes.
+//!   `ServerHandle::open_or_recover` turns the
 //!   result back into a live server whose sessions, filter posteriors,
 //!   pinned model versions, and store tick state are bit-identical to
 //!   the committed prefix of the crashed run.
@@ -53,11 +58,10 @@ use cs2p_core::{ModelBundle, ModelVersion, PredictionEngine};
 use cs2p_ml::hmm::FilterState;
 use cs2p_obs::Clock;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -90,7 +94,8 @@ const CRC32_TABLE: [u32; 256] = {
     table
 };
 
-/// CRC32 (IEEE) of `bytes` — the checksum guarding every WAL frame.
+/// CRC32 (IEEE) of `bytes` — the checksum guarding every WAL and
+/// snapshot frame.
 /// Hand-rolled (table-driven) because the workspace vendors no CRC crate.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
@@ -107,8 +112,9 @@ fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
-/// The decoded contents of one WAL file (or byte slice): every record of
-/// the longest valid frame prefix, plus whether the log ended cleanly.
+/// The decoded contents of one WAL segment or snapshot file (or byte
+/// slice): every record of the longest valid frame prefix, plus whether
+/// the file ended cleanly.
 #[derive(Debug, Default)]
 pub struct WalReplay {
     /// Record payloads, in append order.
@@ -397,73 +403,8 @@ impl Wal {
     }
 }
 
-/// The atomic on-disk image of a [`crate::store::SessionStore`]: the
-/// logical tick counter plus every `(id, last_touch, value)` triple, and
-/// the greatest WAL generation the snapshot fully covers (replay skips
-/// those segments). Generic so the store round-trip proptests can
-/// persist a plain-value store against the reference model. (The serde
-/// impls are by hand — the vendored derive does not support generics.)
-#[derive(Debug, Clone, PartialEq)]
-pub struct StoreSnapshot<V> {
-    /// Greatest WAL generation whose records are all reflected here.
-    pub covered_gen: u64,
-    /// The store's logical tick counter at capture time.
-    pub tick: u64,
-    /// `(id, last_touch, value)` for every live entry, sorted by id.
-    pub entries: Vec<(u64, u64, V)>,
-}
-
-impl<V: Serialize> Serialize for StoreSnapshot<V> {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("covered_gen".into(), self.covered_gen.to_value()),
-            ("tick".into(), self.tick.to_value()),
-            ("entries".into(), self.entries.to_value()),
-        ])
-    }
-}
-
-impl<V: Deserialize> Deserialize for StoreSnapshot<V> {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| serde::DeError(format!("missing field {name}")))
-        };
-        Ok(StoreSnapshot {
-            covered_gen: u64::from_value(field("covered_gen")?)?,
-            tick: u64::from_value(field("tick")?)?,
-            entries: Vec::from_value(field("entries")?)?,
-        })
-    }
-}
-
-/// Writes a snapshot atomically (see [`atomic_write`]).
-pub fn write_snapshot<V: Serialize>(path: &Path, snapshot: &StoreSnapshot<V>) -> io::Result<()> {
-    let json =
-        serde_json::to_vec(snapshot).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    atomic_write(path, &json)
-}
-
-/// Reads a snapshot; a missing or unparseable file is `None` (recovery
-/// treats a corrupt snapshot as absent rather than panicking — the WAL
-/// generations it would have covered are still on disk and replayable).
-pub fn read_snapshot<V: Deserialize>(path: &Path) -> Option<StoreSnapshot<V>> {
-    let bytes = fs::read(path).ok()?;
-    match serde_json::from_slice(&bytes) {
-        Ok(snap) => Some(snap),
-        Err(_) => {
-            cs2p_obs::event(
-                cs2p_obs::Level::Warn,
-                "serve.persist.snapshot_corrupt",
-                vec![("path", path.display().to_string().into())],
-            );
-            None
-        }
-    }
-}
-
 /// A served 1-step prediction awaiting its measurement, as persisted.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PersistedPending {
     /// Predicted next-epoch throughput, Mbps.
     pub value: f64,
@@ -474,7 +415,7 @@ pub struct PersistedPending {
 /// One session's durable state: everything the server needs to rebuild
 /// its in-memory session entry except the engine `Arc`, which recovery
 /// re-resolves from the persisted bundle for `version`.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PersistedSession {
     /// The model version the session is pinned to.
     pub version: u64,
@@ -497,7 +438,7 @@ pub struct PersistedSession {
 /// absolute `observed_len`, so replaying a record whose effect a fuzzy
 /// snapshot already includes is a no-op — the idempotence the
 /// compaction-while-serving window relies on.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// A session (re-)registered: full state at the end of the request.
     Register {
@@ -530,16 +471,17 @@ pub enum WalRecord {
     },
 }
 
-// WAL payload codec. Records are encoded on the serving hot path — one
-// per store mutation, under the owning shard's lock — so the payload is
-// a hand-rolled little-endian layout (one-byte tag, fixed-width fields,
-// u32 length-prefixed vectors) rather than JSON through the Value tree.
-// Integrity is the frame's job (CRC32 over the payload); the codec only
-// needs to be fast and unambiguous. `f64`s round-trip via `to_le_bytes`,
-// so recovered posteriors are bit-identical. Decoding is total: any
-// malformed payload yields `None`, which recovery treats exactly like a
-// corrupt frame (truncate at the record). The snapshot stays JSON — it
-// is written off the request path, once per compaction.
+// Payload codec — the one encoding of session state, for WAL segments
+// and `store.snap` alike. Records are encoded on the serving hot path —
+// one per store mutation, under the owning shard's lock — so the payload
+// is a hand-rolled little-endian layout (one-byte tag, fixed-width
+// fields, u32 length-prefixed vectors) rather than JSON through the Value
+// tree. Integrity is the frame's job (CRC32 over the payload); the codec
+// only needs to be fast and unambiguous. `f64`s round-trip via
+// `to_le_bytes`, so recovered posteriors are bit-identical. Decoding is
+// total: any malformed payload yields `None`, which recovery treats
+// exactly like a corrupt frame (truncate the WAL at the record; read the
+// snapshot as absent).
 
 const TAG_REGISTER: u8 = 1;
 const TAG_UPDATE: u8 = 2;
@@ -776,6 +718,71 @@ impl WalRecord {
     }
 }
 
+/// The bytes of `store.snap`: a header frame (`covered_gen` — the
+/// greatest WAL generation the image fully reflects, so replay skips it —
+/// the store's logical `tick`, and the entry count), then one framed
+/// [`WalRecord::Register`] per live entry whose `tick` is the entry's
+/// `last_touch`.
+fn encode_snapshot(
+    covered_gen: u64,
+    tick: u64,
+    entries: Vec<(u64, u64, PersistedSession)>,
+) -> Vec<u8> {
+    let mut header = Vec::with_capacity(24);
+    put_u64(&mut header, covered_gen);
+    put_u64(&mut header, tick);
+    put_u64(&mut header, entries.len() as u64);
+    let mut out = Vec::new();
+    frame_into(&mut out, &header);
+    for (id, tick, session) in entries {
+        frame_into(
+            &mut out,
+            &WalRecord::Register { id, tick, session }.encode(),
+        );
+    }
+    out
+}
+
+/// Decodes [`encode_snapshot`]'s bytes into `(covered_gen, tick,
+/// records)`. All or nothing: `None` unless every frame is clean to the
+/// end of the file, every payload decodes to a `Register`, and the record
+/// count equals the header's.
+fn decode_snapshot(bytes: &[u8]) -> Option<(u64, u64, Vec<WalRecord>)> {
+    let frames = decode_frames(bytes);
+    let (header, entries) = frames.records.split_first()?;
+    let mut c = Cursor {
+        bytes: header,
+        pos: 0,
+    };
+    let (covered_gen, tick, count) = (c.u64()?, c.u64()?, c.u64()?);
+    if !frames.clean || c.pos != header.len() || entries.len() as u64 != count {
+        return None;
+    }
+    let records = entries
+        .iter()
+        .map(|p| WalRecord::decode(p).filter(|r| matches!(r, WalRecord::Register { .. })))
+        .collect::<Option<Vec<_>>>()?;
+    Some((covered_gen, tick, records))
+}
+
+/// Reads `store.snap`; a missing file is `None`, and so is a corrupt one
+/// (`serve.persist.snapshot_corrupt`) — recovery treats it as absent
+/// rather than panicking or applying part of it. The WAL generations it
+/// covered were unlinked when it was written, so the sessions only it
+/// held fall to the re-register path; recovery replays just the
+/// generations it did not cover.
+fn read_snapshot(path: &Path) -> Option<(u64, u64, Vec<WalRecord>)> {
+    let snapshot = decode_snapshot(&fs::read(path).ok()?);
+    if snapshot.is_none() {
+        cs2p_obs::event(
+            cs2p_obs::Level::Warn,
+            "serve.persist.snapshot_corrupt",
+            vec![("path", path.display().to_string().into())],
+        );
+    }
+    snapshot
+}
+
 /// Durability knobs for [`crate::ServerHandle::open_or_recover`].
 #[derive(Clone)]
 pub struct PersistConfig {
@@ -972,8 +979,6 @@ pub struct SessionPersist {
     /// Serializes compactions; `try_lock` keeps the trigger non-blocking.
     compact_lock: Mutex<()>,
     registry_sink: Arc<RegistryDir>,
-    /// Set while a compaction owns the snapshot file.
-    compacting: AtomicBool,
 }
 
 impl SessionPersist {
@@ -1000,7 +1005,6 @@ impl SessionPersist {
             snapshot_every: config.snapshot_every_records,
             compact_lock: Mutex::new(()),
             registry_sink,
-            compacting: AtomicBool::new(false),
         })
     }
 
@@ -1070,10 +1074,7 @@ impl SessionPersist {
         let Some(_guard) = self.compact_lock.try_lock() else {
             return Ok(());
         };
-        self.compacting.store(true, Ordering::SeqCst);
-        let result = self.compact_locked(collect);
-        self.compacting.store(false, Ordering::SeqCst);
-        result
+        self.compact_locked(collect)
     }
 
     fn compact_locked(
@@ -1087,13 +1088,9 @@ impl SessionPersist {
         self.gen.store(covered_gen + 1, Ordering::SeqCst);
         self.since_snapshot.store(0, Ordering::SeqCst);
         let (tick, entries) = collect();
-        write_snapshot(
+        atomic_write(
             &self.dir.join(SNAPSHOT_FILE),
-            &StoreSnapshot {
-                covered_gen,
-                tick,
-                entries,
-            },
+            &encode_snapshot(covered_gen, tick, entries),
         )?;
         for gen in list_segments(&self.dir)? {
             if gen <= covered_gen {
@@ -1129,23 +1126,55 @@ pub struct RecoveredState {
 }
 
 /// Replays snapshot + WAL from `dir` into the state the committed prefix
-/// of the crashed run had. Truncates at the first corrupt or torn record
-/// and never panics on arbitrary bytes; a missing directory is an empty
-/// (fresh) state. `max_observed` caps per-session measurement history
-/// (the server's recorded-epochs bound).
+/// of the crashed run had. Truncates at the first corrupt or torn WAL
+/// record, reads a corrupt snapshot as absent, and never panics on
+/// arbitrary bytes; a missing directory is an empty (fresh) state.
+/// `max_observed` caps per-session measurement history (the server's
+/// recorded-epochs bound).
 pub fn recover(dir: &Path, max_observed: usize) -> io::Result<RecoveredState> {
     let (engines, current_version) = RegistryDir::load(&dir.join(MODELS_DIR))?;
-    let snapshot: Option<StoreSnapshot<PersistedSession>> = read_snapshot(&dir.join(SNAPSHOT_FILE));
-    let covered_gen = snapshot.as_ref().map(|s| s.covered_gen).unwrap_or(0);
-    let mut tick = snapshot.as_ref().map(|s| s.tick).unwrap_or(0);
-    let mut sessions: std::collections::BTreeMap<u64, (u64, PersistedSession)> = snapshot
-        .map(|s| {
-            s.entries
-                .into_iter()
-                .map(|(id, last_touch, state)| (id, (last_touch, state)))
-                .collect()
-        })
-        .unwrap_or_default();
+    let (covered_gen, mut tick, snapshot) =
+        read_snapshot(&dir.join(SNAPSHOT_FILE)).unwrap_or_default();
+    let mut sessions = std::collections::BTreeMap::<u64, (u64, PersistedSession)>::new();
+    // The one replay step. Snapshot entries pass through it as `Register`
+    // records stamped with their `last_touch`, then every uncovered WAL
+    // record in order; the tick only rises, to stay above every stamp.
+    let mut apply = |record: WalRecord| match record {
+        WalRecord::Register {
+            id,
+            tick: t,
+            session,
+        } => {
+            tick = tick.max(t + 1);
+            sessions.insert(id, (t, session));
+        }
+        WalRecord::Update {
+            id,
+            tick: t,
+            measured,
+            observed_len,
+            filter,
+            pending,
+        } => {
+            tick = tick.max(t + 1);
+            if let Some((last_touch, state)) = sessions.get_mut(&id) {
+                *last_touch = t;
+                if let Some(w) = measured {
+                    if (state.observed.len() as u64) < observed_len
+                        && state.observed.len() < max_observed
+                    {
+                        state.observed.push(w);
+                    }
+                }
+                state.filter = filter;
+                state.pending = pending;
+            }
+        }
+        WalRecord::Remove { id } => {
+            sessions.remove(&id);
+        }
+    };
+    snapshot.into_iter().for_each(&mut apply);
 
     let mut clean = true;
     let mut wal_records = 0u64;
@@ -1155,52 +1184,15 @@ pub fn recover(dir: &Path, max_observed: usize) -> io::Result<RecoveredState> {
         }
         let replay = read_wal(&segment_path(dir, gen))?;
         for payload in &replay.records {
-            let record: WalRecord = match WalRecord::decode(payload) {
-                Some(record) => record,
-                None => {
-                    // A frame with a valid CRC but an unparseable body is
-                    // corruption past the framing layer: same contract,
-                    // truncate here.
-                    clean = false;
-                    break 'segments;
-                }
+            let Some(record) = WalRecord::decode(payload) else {
+                // A frame with a valid CRC but an unparseable body is
+                // corruption past the framing layer: same contract,
+                // truncate here.
+                clean = false;
+                break 'segments;
             };
             wal_records += 1;
-            match record {
-                WalRecord::Register {
-                    id,
-                    tick: t,
-                    session,
-                } => {
-                    tick = tick.max(t + 1);
-                    sessions.insert(id, (t, session));
-                }
-                WalRecord::Update {
-                    id,
-                    tick: t,
-                    measured,
-                    observed_len,
-                    filter,
-                    pending,
-                } => {
-                    tick = tick.max(t + 1);
-                    if let Some((last_touch, state)) = sessions.get_mut(&id) {
-                        *last_touch = t;
-                        if let Some(w) = measured {
-                            if (state.observed.len() as u64) < observed_len
-                                && state.observed.len() < max_observed
-                            {
-                                state.observed.push(w);
-                            }
-                        }
-                        state.filter = filter;
-                        state.pending = pending;
-                    }
-                }
-                WalRecord::Remove { id } => {
-                    sessions.remove(&id);
-                }
-            }
+            apply(record);
         }
         if !replay.clean {
             clean = false;
@@ -1400,15 +1392,28 @@ mod tests {
     fn snapshot_roundtrip_and_corrupt_snapshot_reads_as_absent() {
         let dir = temp_dir("snap");
         let path = dir.join(SNAPSHOT_FILE);
-        let snap = StoreSnapshot {
-            covered_gen: 3,
-            tick: 17,
-            entries: vec![(1, 5, 10u64), (2, 6, 20)],
-        };
-        write_snapshot(&path, &snap).unwrap();
-        assert_eq!(read_snapshot::<u64>(&path), Some(snap));
-        fs::write(&path, b"{torn").unwrap();
-        assert_eq!(read_snapshot::<u64>(&path), None);
+        let entries: Vec<_> = codec_records()
+            .into_iter()
+            .filter_map(|r| match r {
+                WalRecord::Register { id, tick, session } => Some((id, tick, session)),
+                _ => None,
+            })
+            .collect();
+        let bytes = encode_snapshot(3, 17, entries.clone());
+        atomic_write(&path, &bytes).unwrap();
+        let (covered_gen, tick, back) = read_snapshot(&path).expect("read own snapshot");
+        assert_eq!((covered_gen, tick), (3, 17));
+        // NaN-carrying state: compare encodings, as the codec test does.
+        let written = entries
+            .into_iter()
+            .map(|(id, tick, session)| WalRecord::Register { id, tick, session }.encode());
+        assert!(back.iter().map(WalRecord::encode).eq(written));
+        // A torn file, and a clean one an entry short of its header's count.
+        fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
+        assert!(read_snapshot(&path).is_none());
+        let last_frame = FRAME_HEADER + back[back.len() - 1].encode().len();
+        fs::write(&path, &bytes[..bytes.len() - last_frame]).unwrap();
+        assert!(read_snapshot(&path).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,12 +1,16 @@
 //! Torn-write recovery battery for the durability layer (see DESIGN.md
 //! §3f and TESTING.md "Crash recovery").
 //!
-//! Three layers of attack, bottom-up:
+//! Four layers of attack, bottom-up:
 //!
 //! - **framing**: a WAL written through the real `Wal` is truncated at
 //!   *every* byte offset and bit-flipped at seeded positions — decoding
 //!   must never panic, must recover exactly the longest valid frame
 //!   prefix, and must report `clean` only at true frame boundaries;
+//! - **snapshot**: `store.snap` written by a real compaction is
+//!   byte-flipped at *every* offset — recovery must never panic and every
+//!   session must come back bit-identical to the uncorrupted recovery or
+//!   not at all (the re-register path), never with different state;
 //! - **registry**: random publish/GC programs against the on-disk model
 //!   directory — the files present must always equal the retained set,
 //!   the `CURRENT` pointer must follow the latest publish, and a corrupt
@@ -27,13 +31,14 @@
 //! sessions — nothing ever evicts or no-ops).
 
 use cs2p_net::http::{Request, Response};
-use cs2p_net::persist::{decode_frames, RegistryDir, Wal};
+use cs2p_net::persist::{decode_frames, recover, RegistryDir, Wal, WalRecord};
 use cs2p_net::protocol::{PredictRequest, SessionLog};
 use cs2p_net::{HttpClient, PersistConfig, ServeConfig, ServerHandle};
 use cs2p_obs::ManualClock;
 use cs2p_testkit::crash::{CrashPlan, TempDir};
 use cs2p_testkit::scenarios::tiny_engine;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
@@ -434,5 +439,144 @@ fn graceful_shutdown_then_reopen_recovers_everything() {
             assert_eq!(client.get("/healthz").unwrap().status, 200);
         }
         recovered.shutdown();
+    }
+}
+
+// ---------------------------------------------------------------------
+// Snapshot corruption sweep
+// ---------------------------------------------------------------------
+
+/// Copies a persistence directory (segments, `store.snap`, `models/`).
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let dest = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_dir(&entry.path(), &dest);
+        } else {
+            std::fs::copy(entry.path(), dest).unwrap();
+        }
+    }
+}
+
+/// What `persist::recover` pulls out of `dir`, each session as its
+/// `Register` encoding: byte equality there is bit identity (posterior
+/// floats, LRU stamp, version pin), which `PartialEq` on `f64` is not.
+fn recovered_sessions(dir: &Path) -> BTreeMap<u64, Vec<u8>> {
+    let state = recover(dir, 1024).expect("a corrupt snapshot is not an I/O error");
+    state
+        .sessions
+        .into_iter()
+        .map(|(id, tick, session)| (id, WalRecord::Register { id, tick, session }.encode()))
+        .collect()
+}
+
+/// A flipped byte anywhere in `store.snap` must cost sessions, never
+/// change them. The directory under attack is half snapshot, half WAL
+/// tail (the stream's `/log`, re-registration and final update land
+/// after the compaction), so the sweep also covers what replays on top
+/// of a snapshot that reads as absent.
+#[test]
+fn snapshot_byte_flip_at_every_offset_recovers_identical_state_or_none() {
+    let steps = request_stream();
+    let (in_snapshot, in_tail) = steps.split_at(SESSIONS.len() * 4);
+    let dir = TempDir::new("snap-sweep");
+    let server = persist_server(dir.path(), strict_persist(None));
+    let mut client = HttpClient::new(server.addr());
+    for step in in_snapshot {
+        drive(&mut client, step);
+    }
+    server.compact();
+    for step in in_tail {
+        drive(&mut client, step);
+    }
+    drop(client);
+    server.shutdown();
+
+    let snap = std::fs::read(dir.path().join("store.snap")).unwrap();
+    let baseline = recovered_sessions(dir.path());
+    assert_eq!(
+        baseline.keys().copied().collect::<Vec<_>>(),
+        SESSIONS,
+        "the uncorrupted directory recovers every session"
+    );
+
+    // `recover` only reads, so one working copy serves the whole sweep.
+    // Mask 0x01 maps ASCII digits to digits (the corruption a text format
+    // without a checksum cannot see); 0x80 leaves ASCII altogether.
+    let scratch = TempDir::new("snap-sweep-copy");
+    copy_dir(dir.path(), scratch.path());
+    for offset in 0..snap.len() {
+        for mask in [0x01u8, 0x80] {
+            let mut bytes = snap.clone();
+            bytes[offset] ^= mask;
+            std::fs::write(scratch.path().join("store.snap"), &bytes).unwrap();
+            for (id, got) in recovered_sessions(scratch.path()) {
+                assert_eq!(
+                    Some(&got),
+                    baseline.get(&id),
+                    "offset {offset} mask {mask:#04x}: session {id} recovered with different state"
+                );
+            }
+        }
+    }
+
+    // The same through `open_or_recover`, at a handful of offsets. A
+    // feature-less measurement goes first — 404 for a session recovery
+    // dropped, so a survivor and a re-registration cannot answer alike —
+    // then the battery's `probe`. Per session the answers must be the
+    // bytes the intact directory serves (it survived) or the bytes a
+    // snapshot-less directory serves (it re-registered), never a third.
+    let serve_from = |prepare: &dyn Fn(&Path)| {
+        let copy = TempDir::new("snap-sweep-probe");
+        copy_dir(dir.path(), copy.path());
+        prepare(&copy.path().join("store.snap"));
+        let server = persist_server(copy.path(), strict_persist(None));
+        let mut client = HttpClient::new(server.addr());
+        let mut answers = Vec::new();
+        for &sid in &SESSIONS {
+            let preq = PredictRequest {
+                session_id: sid,
+                features: None,
+                measured_mbps: Some(2.75),
+                horizon: 2,
+            };
+            let body = serde_json::to_vec(&preq).unwrap();
+            let resp = client
+                .send(&Request::new("POST", "/predict", body))
+                .unwrap();
+            answers.push((resp.status, resp.body.to_vec()));
+        }
+        drop(client);
+        answers.extend(probe(server.addr()));
+        server.shutdown();
+        answers
+    };
+    let intact = serve_from(&|_| {});
+    let absent = serve_from(&|snap_path| std::fs::remove_file(snap_path).unwrap());
+    assert_ne!(intact, absent, "the controls must be distinguishable");
+    for offset in [
+        0,
+        snap.len() / 4,
+        snap.len() / 2,
+        3 * snap.len() / 4,
+        snap.len() - 1,
+    ] {
+        let got = serve_from(&|snap_path| {
+            let mut bytes = snap.clone();
+            bytes[offset] ^= 0x01;
+            std::fs::write(snap_path, &bytes).unwrap();
+        });
+        for (i, sid) in SESSIONS.iter().enumerate() {
+            let of_session = |answers: &[(u16, Vec<u8>)]| {
+                let mine = answers.iter().skip(i).step_by(SESSIONS.len());
+                mine.cloned().collect::<Vec<_>>()
+            };
+            assert!(
+                of_session(&got) == of_session(&intact) || of_session(&got) == of_session(&absent),
+                "offset {offset}: session {sid} was served bytes neither control serves"
+            );
+        }
     }
 }

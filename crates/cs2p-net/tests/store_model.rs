@@ -13,11 +13,15 @@
 //! the restored copy must be indistinguishable from never restarting —
 //! same values, same tick clock, same TTL/LRU schedule.
 
-use cs2p_net::persist::{read_snapshot, write_snapshot, StoreSnapshot};
+use cs2p_ml::hmm::FilterState;
+use cs2p_net::persist::{recover, PersistedSession, SessionPersist};
 use cs2p_net::store::SessionStore;
+use cs2p_net::PersistConfig;
+use cs2p_obs::ManualClock;
 use cs2p_testkit::crash::TempDir;
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Same hash as the store (FNV-1a over the id's little-endian bytes) so
 /// the reference model agrees on shard placement.
@@ -234,12 +238,14 @@ proptest! {
         run_program(n_shards, max_sessions, ttl, &ops);
     }
 
-    /// Snapshot/restore round trip through the on-disk format: run half
-    /// the program, persist the store (`snapshot` → `write_snapshot` →
-    /// `read_snapshot` → `restore`), then run the other half on the
-    /// restored copy. The reference model never restarts — if the
-    /// restored store disagrees with it on any value, tick, TTL expiry,
-    /// or LRU victim, persistence lost or mangled state.
+    /// Snapshot/restore round trip through the on-disk format, by the
+    /// path the server runs: half the program, persist the store
+    /// (`snapshot` → `SessionPersist::compact_with` → `recover` →
+    /// `restore`, the reference value riding in a `PersistedSession`'s
+    /// `version`), then the other half on the restored copy. The
+    /// reference model never restarts — if the restored store disagrees
+    /// with it on any value, tick, TTL expiry, or LRU victim,
+    /// persistence lost or mangled state.
     #[test]
     fn snapshot_restore_is_invisible_to_the_model(
         ops_before in arb_ops(),
@@ -255,18 +261,38 @@ proptest! {
 
         let (tick, entries) = store.snapshot();
         prop_assert_eq!(tick, model.tick, "snapshot tick");
-        let written = StoreSnapshot { covered_gen: 3, tick, entries };
         let dir = TempDir::new("store-rt");
-        let path = dir.path().join("store.snap");
-        write_snapshot(&path, &written).expect("write snapshot");
-        let snap = read_snapshot::<u64>(&path).expect("read snapshot back");
-        prop_assert_eq!(snap.covered_gen, 3, "covered_gen survives the format");
-        prop_assert_eq!(snap.tick, written.tick);
-        prop_assert_eq!(&snap.entries, &written.entries);
+        let persist =
+            SessionPersist::create(dir.path(), Arc::new(ManualClock::new()), &PersistConfig::default())
+                .expect("open persistence dir");
+        let carried = entries
+            .iter()
+            .map(|&(id, last_touch, value)| {
+                let session = PersistedSession {
+                    version: value,
+                    model: None,
+                    cluster_hit: false,
+                    filter: FilterState { posterior: vec![], epoch: 0 },
+                    features: vec![],
+                    observed: vec![],
+                    pending: None,
+                };
+                (id, last_touch, session)
+            })
+            .collect();
+        persist.compact_with(|| (tick, carried)).expect("write snapshot");
+        let recovered = recover(dir.path(), 0).expect("read snapshot back");
+        prop_assert_eq!(recovered.tick, tick);
+        let read_back: Vec<(u64, u64, u64)> = recovered
+            .sessions
+            .into_iter()
+            .map(|(id, last_touch, session)| (id, last_touch, session.version))
+            .collect();
+        prop_assert_eq!(&read_back, &entries);
 
         let evicted_at_restart = model.evicted;
         let restored: SessionStore<u64> =
-            SessionStore::restore(n_shards, max_sessions, ttl, snap.tick, snap.entries);
+            SessionStore::restore(n_shards, max_sessions, ttl, recovered.tick, read_back);
         prop_assert_eq!(restored.len(), model.len(), "live count after restore");
         run_ops(&restored, &mut model, &ops_after, evicted_at_restart);
 
