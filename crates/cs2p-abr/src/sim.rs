@@ -67,15 +67,17 @@ pub fn simulate(
         // the network: stalls and waits make chunk count drift from time.
         predictor.sync_clock(network.now() / epoch_seconds);
 
-        // Collect the prediction window.
-        let mut predictions: Vec<Option<f64>> = Vec::with_capacity(horizon);
-        for k in 1..=horizon {
-            let p = if chunk_index == 0 && k == 1 {
-                predictor.predict_initial()
-            } else {
-                predictor.predict_ahead(k)
-            };
-            predictions.push(p);
+        // Collect the prediction window: one horizon call per decision.
+        // Chunk 0 differs only in its first step, which is the initial
+        // prediction (asked first, and `predict_ahead(1)` never).
+        let mut predictions: Vec<Option<f64>> = vec![None; horizon];
+        if chunk_index == 0 {
+            predictions[0] = predictor.predict_initial();
+            for k in 2..=horizon {
+                predictions[k - 1] = predictor.predict_ahead(k);
+            }
+        } else {
+            predictor.predict_horizon(&mut predictions);
         }
 
         // Choose the level.

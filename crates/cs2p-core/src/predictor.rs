@@ -37,6 +37,19 @@ pub trait ThroughputPredictor {
         self.predict_ahead(1)
     }
 
+    /// The whole look-ahead window an MPC controller asks for before a
+    /// decision: `out[k - 1]` is what [`predict_ahead(k)`] returns, for
+    /// `k = 1..=out.len()` in that order. Model-based predictors override
+    /// it to carry their state forward one step per entry instead of
+    /// restarting from the last observation for each `k`.
+    ///
+    /// [`predict_ahead(k)`]: ThroughputPredictor::predict_ahead
+    fn predict_horizon(&mut self, out: &mut [Option<f64>]) {
+        for (i, slot) in out.iter_mut().enumerate() {
+            *slot = self.predict_ahead(i + 1);
+        }
+    }
+
     /// Feeds the measured throughput of the epoch that just completed.
     fn observe(&mut self, throughput: f64);
 
@@ -143,6 +156,22 @@ impl ThroughputPredictor for Cs2pPredictor<'_> {
             self.filter.predict_ahead(k)
         };
         Some(raw * self.calibration)
+    }
+
+    fn predict_horizon(&mut self, out: &mut [Option<f64>]) {
+        if out.is_empty() {
+            return;
+        }
+        // One count per entry, as the per-`k` calls would have made.
+        cs2p_obs::counter_add("predict.cs2p.midstream", out.len() as u64);
+        let mut raw = vec![0.0; out.len()];
+        self.filter.predict_horizon(&mut raw);
+        for (slot, v) in out.iter_mut().zip(raw) {
+            *slot = Some(v * self.calibration);
+        }
+        if self.filter.epoch() == 0 {
+            out[0] = Some(self.model.initial_median);
+        }
     }
 
     fn observe(&mut self, throughput: f64) {
@@ -346,6 +375,36 @@ mod tests {
         for k in 1..5 {
             assert!(p.predict_ahead(k).is_some());
         }
+    }
+
+    #[test]
+    fn cs2p_horizon_is_the_per_step_window_bit_for_bit() {
+        let model = toy_model();
+        let mut p = Cs2pPredictor::new(&model);
+        // Epoch 0 (cluster median first), then as calibration drifts off 1.
+        for w in [None, Some(3.0), Some(3.1), Some(0.9), Some(4.4)] {
+            if let Some(w) = w {
+                p.observe(w);
+            }
+            for h in 0..=8 {
+                let mut window = vec![None; h];
+                p.predict_horizon(&mut window);
+                let per_step: Vec<Option<f64>> = (1..=h).map(|k| p.predict_ahead(k)).collect();
+                let bits =
+                    |xs: &[Option<f64>]| xs.iter().map(|x| x.map(f64::to_bits)).collect::<Vec<_>>();
+                assert_eq!(bits(&window), bits(&per_step), "after {w:?}, h={h}");
+            }
+        }
+    }
+
+    #[test]
+    fn default_horizon_asks_each_step_in_order() {
+        // The oracle has no override: the window is its per-step answers.
+        let mut o = NoisyOracle::new(vec![1.0, 2.0, 3.0, 4.0], 0.0, 1);
+        o.observe(1.0);
+        let mut window = [None; 4];
+        o.predict_horizon(&mut window);
+        assert_eq!(window, [Some(2.0), Some(3.0), Some(4.0), None]);
     }
 
     #[test]

@@ -119,17 +119,28 @@ impl Matrix {
     /// `v^T * self` for a vector `v` of length `rows` (row-vector product,
     /// the shape used by HMM state-distribution propagation `pi P`).
     pub fn vecmat(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.rows, "vecmat dimension mismatch");
         let mut out = vec![0.0; self.cols];
+        self.vecmat_into(v, &mut out);
+        out
+    }
+
+    /// [`vecmat`](Self::vecmat) into a caller-owned buffer of length
+    /// `cols` (overwritten): the same multiply-adds in the same order —
+    /// rows of `self` scaled by `v[i]` and accumulated top to bottom, zero
+    /// entries of `v` skipped — so the result is bit-identical, without
+    /// the allocation. The per-request filter propagates through this.
+    pub fn vecmat_into(&self, v: &[f64], out: &mut [f64]) {
+        assert_eq!(v.len(), self.rows, "vecmat dimension mismatch");
+        assert_eq!(out.len(), self.cols, "vecmat output length mismatch");
+        out.fill(0.0);
         for (i, &vi) in v.iter().enumerate() {
             if vi == 0.0 {
                 continue;
             }
-            for (j, o) in out.iter_mut().enumerate() {
-                *o += vi * self[(i, j)];
+            for (o, &a) in out.iter_mut().zip(self.row(i)) {
+                *o += vi * a;
             }
         }
-        out
     }
 
     /// Solves `A x = b` by Gaussian elimination with partial pivoting.
@@ -266,6 +277,50 @@ mod tests {
         let pi = [0.25, 0.75];
         let next = p.vecmat(&pi);
         assert!((next.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn vecmat_into_is_vecmat_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        // The pre-`vecmat_into` body of `vecmat`, kept as the reference.
+        fn reference(m: &Matrix, v: &[f64]) -> Vec<f64> {
+            let mut out = vec![0.0; m.cols()];
+            for (i, &vi) in v.iter().enumerate() {
+                if vi == 0.0 {
+                    continue;
+                }
+                for (j, o) in out.iter_mut().enumerate() {
+                    *o += vi * m[(i, j)];
+                }
+            }
+            out
+        }
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(15);
+        for case in 0..200 {
+            let (rows, cols) = (rng.gen_range(1..=9), rng.gen_range(1..=9));
+            let data = (0..rows * cols).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let m = Matrix::from_vec(rows, cols, data);
+            // Zero entries (which `vecmat` skips, so an infinite matrix
+            // entry behind one must not turn into NaN) in half the cases.
+            let v: Vec<f64> = (0..rows)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 if case % 2 == 0 => 0.0,
+                    1 if case % 2 == 0 => -0.0,
+                    _ => rng.gen_range(-1.0..1.0),
+                })
+                .collect();
+            // A dirty output buffer must be overwritten, not added to.
+            let mut out = vec![f64::NAN; cols];
+            m.vecmat_into(&v, &mut out);
+            let want = reference(&m, &v);
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&want), "case {case}");
+            assert_eq!(bits(&m.vecmat(&v)), bits(&want), "case {case}");
+        }
+        let inf = Matrix::from_rows(&[vec![f64::INFINITY, 1.0], vec![2.0, 3.0]]);
+        let mut out = [0.0; 2];
+        inf.vecmat_into(&[0.0, 1.0], &mut out);
+        assert_eq!(out, [2.0, 3.0]);
     }
 
     #[test]

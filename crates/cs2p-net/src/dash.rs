@@ -16,7 +16,7 @@ use cs2p_abr::{
     SessionOutcome, SimConfig, VideoSpec,
 };
 use cs2p_core::{ClientModel, ThroughputPredictor};
-use cs2p_ml::hmm::{FilterState, HmmFilter};
+use cs2p_ml::hmm::FilterState;
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::net::SocketAddr;
@@ -269,7 +269,7 @@ impl LocalModelPredictor {
 
     /// Wraps an already-obtained model.
     pub fn from_model(model: ClientModel) -> Self {
-        let state = model.model.hmm.filter().state();
+        let state = FilterState::new(&model.model.hmm);
         LocalModelPredictor { model, state }
     }
 }
@@ -288,22 +288,30 @@ impl ThroughputPredictor for LocalModelPredictor {
     }
 
     fn predict_ahead(&mut self, k: usize) -> Option<f64> {
-        let filter = HmmFilter::from_state(&self.model.model.hmm, self.state.clone());
-        if filter.epoch() == 0 && k == 1 {
-            Some(self.model.model.initial_median)
-        } else {
-            Some(filter.predict_ahead(k))
+        let mut window = vec![None; k];
+        self.predict_horizon(&mut window);
+        window.pop().flatten()
+    }
+
+    fn predict_horizon(&mut self, out: &mut [Option<f64>]) {
+        let mut raw = vec![0.0; out.len()];
+        self.state.predict_horizon(&self.model.model.hmm, &mut raw);
+        for (slot, v) in out.iter_mut().zip(raw) {
+            *slot = Some(v);
+        }
+        if self.state.epoch == 0 {
+            if let Some(first) = out.first_mut() {
+                *first = Some(self.model.model.initial_median);
+            }
         }
     }
 
     fn observe(&mut self, throughput: f64) {
-        let mut filter = HmmFilter::from_state(&self.model.model.hmm, self.state.clone());
-        filter.observe(throughput);
-        self.state = filter.state();
+        self.state.observe(&self.model.model.hmm, throughput);
     }
 
     fn reset(&mut self) {
-        self.state = self.model.model.hmm.filter().state();
+        self.state = FilterState::new(&self.model.model.hmm);
     }
 }
 
@@ -345,6 +353,32 @@ mod tests {
         let mid = local.predict_next().unwrap();
         assert!((mid - 1.0).abs() < 0.5);
         server.shutdown();
+    }
+
+    #[test]
+    fn local_horizon_is_the_uncalibrated_filter_window() {
+        let engine = tiny_engine();
+        let client_model = ClientModel::for_client(&engine, &cs2p_core::FeatureVector(vec![1]));
+        let mut reference = cs2p_core::Cs2pPredictor::without_calibration(&client_model.model);
+        let mut local = LocalModelPredictor::from_model(client_model.clone());
+        for w in [None, Some(5.1), Some(0.4), Some(4.9)] {
+            if let Some(w) = w {
+                local.observe(w);
+                reference.observe(w);
+            }
+            let mut window = [None; 6];
+            local.predict_horizon(&mut window);
+            for (i, got) in window.iter().enumerate() {
+                let want = reference.predict_ahead(i + 1);
+                assert_eq!(
+                    got.map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "after {w:?}, k={}",
+                    i + 1
+                );
+                assert_eq!(local.predict_ahead(i + 1), *got);
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use cs2p_core::engine::{ClusterModel, TrainSummary};
 use cs2p_core::{
     ClientModel, Dataset, FeatureVector, ModelRegistry, ModelVersion, PredictionEngine,
 };
-use cs2p_ml::hmm::HmmFilter;
+use cs2p_ml::hmm::FilterState;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -429,7 +429,7 @@ impl AppState {
                 version: version.0,
                 model: lookup.model_index,
                 cluster_hit: lookup.provenance.is_cluster_hit(),
-                filter: lookup.model.hmm.filter().state(),
+                filter: FilterState::new(&lookup.model.hmm),
                 features: fv.0,
                 observed: Vec::new(),
                 pending: None,
@@ -481,15 +481,15 @@ impl AppState {
         Ok(out)
     }
 
-    /// The Full-level strategy — Algorithm 1's online step: observe the
-    /// carried measurement, predict the horizon, remember the 1-step
-    /// prediction for scoring against the next measurement.
+    /// The Full-level strategy — Algorithm 1's online step, on the
+    /// session's filter state in place: observe the carried measurement,
+    /// predict the horizon, remember the 1-step prediction for scoring
+    /// against the next measurement.
     fn filter_step(
         state: &mut PersistedSession,
         model: &ClusterModel,
         preq: &PredictRequest,
     ) -> (PredictResponse, DeferredScore) {
-        let mut filter = HmmFilter::from_state(&model.hmm, state.filter.clone());
         // The measurement this request carries is the ground truth for
         // the 1-step prediction served last time: score it (outside the
         // shard lock). An actual of zero leaves APE undefined.
@@ -501,22 +501,21 @@ impl AppState {
                     None => deferred.unscorable = true,
                 }
             }
-            filter.observe(w);
+            state.filter.observe(&model.hmm, w);
             if state.observed.len() < MAX_RECORDED_EPOCHS {
                 state.observed.push(w);
             }
         }
-        let initial = filter.epoch() == 0;
-        let predictions_mbps: Vec<f64> = (1..=preq.horizon)
-            .map(|k| {
-                if initial && k == 1 {
-                    model.initial_median
-                } else {
-                    filter.predict_ahead(k)
-                }
-            })
-            .collect();
-        state.filter = filter.state();
+        // Before any measurement the first step is Algorithm 1 line 5,
+        // the cluster median, not the filter's readout of `pi_0`.
+        let initial = state.filter.epoch == 0;
+        let mut predictions_mbps = vec![0.0; preq.horizon];
+        state
+            .filter
+            .predict_horizon(&model.hmm, &mut predictions_mbps);
+        if initial {
+            predictions_mbps[0] = model.initial_median;
+        }
         state.pending = Some(PersistedPending {
             value: predictions_mbps[0],
             initial,
@@ -849,7 +848,7 @@ fn json_response<T: serde::Serialize>(value: &T) -> Response {
 /// session is dropped to the re-register path — when the pinned version's
 /// bundle is gone or the persisted state is inconsistent with it (model
 /// index out of range, posterior or feature width mismatch); recovery
-/// must never panic, and `HmmFilter::from_state` would on a bad width.
+/// must never panic, and the filter step would on a bad width.
 pub(super) fn rehydrate_session(
     registry: &ModelRegistry,
     ps: PersistedSession,

@@ -1,0 +1,113 @@
+//! Allocation budget of the per-entry request path, by exact count.
+//!
+//! The serving gain of scoring in O(1) and predicting the horizon in one
+//! pass rests on two properties that a timing can only suggest: a
+//! steady-state `record_ape` allocates nothing, and a horizon prediction
+//! allocates the same whatever the horizon. A counting global allocator
+//! states both as numbers. Counts are per thread (the test harness runs
+//! each test on its own), so the tests cannot disturb one another.
+
+use cs2p_ml::gaussian::Gaussian;
+use cs2p_ml::hmm::{Emission, FilterState, Hmm};
+use cs2p_ml::matrix::Matrix;
+use cs2p_net::quality::{QualityConfig, QualityMonitor};
+use cs2p_obs::ManualClock;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`; the only
+// addition is a bump of a const-initialised, destructor-free thread-local
+// `Cell`, which neither allocates nor re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations (and reallocations) this thread makes while `f` runs.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    let after = ALLOCATIONS.with(Cell::get);
+    drop(out);
+    after - before
+}
+
+#[test]
+fn steady_state_score_allocates_nothing() {
+    assert!(!cs2p_obs::enabled(), "the registry is off by default");
+    let monitor = QualityMonitor::new(QualityConfig::default(), Arc::new(ManualClock::new()));
+    // Healthy APEs, a few below the default 0.75 threshold for every one
+    // above it, so the window never comes within reach of an alarm.
+    let apes = [0.02, 0.05, 0.9, 0.07, 0.11, 0.3, 0.04, 1.5, 0.06];
+    let score = |i: usize| {
+        let ape = apes[i % apes.len()];
+        match i % 3 {
+            0 => monitor.record_ape(1, true, false, ape),
+            1 => monitor.record_ape(1, false, i % 4 == 1, ape),
+            _ => monitor.record_log_ape(ape),
+        }
+    };
+    // Warm-up: every sketch key and bucket appears, the drift window
+    // fills to its 256 samples and starts evicting.
+    for i in 0..1024 {
+        assert!(!score(i));
+    }
+    let allocated = allocations_in(|| {
+        for i in 1024..5120 {
+            assert!(!score(i));
+        }
+    });
+    assert_eq!(allocated, 0, "4096 steady-state scores allocated");
+    assert_eq!(monitor.alarms(), 0);
+    assert_eq!(monitor.windowed().0, 256);
+}
+
+#[test]
+fn horizon_prediction_allocations_do_not_depend_on_the_horizon() {
+    let hmm = Hmm::new(
+        vec![0.5, 0.3, 0.2],
+        Matrix::from_rows(&[
+            vec![0.90, 0.06, 0.04],
+            vec![0.05, 0.90, 0.05],
+            vec![0.02, 0.08, 0.90],
+        ]),
+        vec![
+            Emission::Gaussian(Gaussian::new(1.4, 0.2)),
+            Emission::Gaussian(Gaussian::new(2.4, 0.5)),
+            Emission::LogNormal(Gaussian::new(0.1, 0.3)),
+        ],
+    );
+    let mut state = FilterState::new(&hmm);
+    let mut out = [0.0; 32];
+    for epoch in 0..4 {
+        let per_horizon: Vec<u64> = (1..=32)
+            .map(|h| allocations_in(|| state.predict_horizon(&hmm, &mut out[..h])))
+            .collect();
+        // One scratch block for the two propagation buffers, whether the
+        // window is 1 step or 32.
+        assert_eq!(per_horizon, vec![1; 32], "epoch {epoch}");
+        // The in-place update: no scratch before the first observation
+        // (the prediction is `pi_0` itself), one after.
+        let observing = allocations_in(|| state.observe(&hmm, 1.5 + epoch as f64 * 0.3));
+        assert_eq!(observing, u64::from(epoch > 0), "epoch {epoch}");
+    }
+}

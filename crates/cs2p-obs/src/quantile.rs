@@ -57,12 +57,21 @@ fn bucket_value(idx: i32) -> f64 {
 /// All state is integer counts plus exact min/max, so two sketches built
 /// from the same multiset of observations — in any order, or via any
 /// sequence of [`merge`](Self::merge) calls — are equal field-for-field.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantileSketch {
     count: u64,
     min: f64,
     max: f64,
     buckets: BTreeMap<i32, u64>,
+}
+
+/// An empty sketch — [`QuantileSketch::new`], not the field-wise zero: a
+/// derived `Default` would start `min`/`max` at 0.0 and report `min = 0`
+/// after observing only positive values.
+impl Default for QuantileSketch {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl QuantileSketch {
@@ -175,6 +184,18 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.count, 0);
         assert_eq!(snap.p50, 0.0);
+    }
+
+    #[test]
+    fn default_is_an_empty_sketch_not_a_zeroed_one() {
+        assert_eq!(QuantileSketch::default(), QuantileSketch::new());
+        let mut pos = QuantileSketch::default();
+        pos.observe(3.0);
+        pos.observe(5.0);
+        assert_eq!((pos.snapshot().min, pos.snapshot().max), (3.0, 5.0));
+        let mut neg = QuantileSketch::default();
+        neg.observe(-2.0);
+        assert_eq!(neg.snapshot().max, -2.0);
     }
 
     #[test]
