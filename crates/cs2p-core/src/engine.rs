@@ -411,9 +411,9 @@ impl PredictionEngine {
         // Most recent sequences first, capped.
         let mut ordered: Vec<usize> = members.to_vec();
         ordered.sort_by_key(|&i| std::cmp::Reverse(dataset.get(i).start_time));
-        let sequences: Vec<Vec<f64>> = ordered
+        let sequences: Vec<&[f64]> = ordered
             .iter()
-            .map(|&i| dataset.get(i).throughput.clone())
+            .map(|&i| dataset.get(i).throughput.as_slice())
             .filter(|s| s.len() >= config.min_sequence_epochs)
             .take(config.max_train_sequences)
             .collect();

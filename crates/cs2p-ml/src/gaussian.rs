@@ -53,8 +53,15 @@ impl Gaussian {
 
     /// Log-density at `x`; numerically safe far into the tails.
     pub fn log_pdf(&self, x: f64) -> f64 {
+        self.log_pdf_given(x, self.sigma.ln())
+    }
+
+    /// [`log_pdf`](Self::log_pdf) with `ln sigma` supplied by a caller
+    /// that evaluates many points under one distribution (the E-step
+    /// computes it once per state per iteration). Must be `sigma.ln()`.
+    pub(crate) fn log_pdf_given(&self, x: f64, ln_sigma: f64) -> f64 {
         let z = (x - self.mu) / self.sigma;
-        -0.5 * z * z - self.sigma.ln() - LN_SQRT_2PI
+        -0.5 * z * z - ln_sigma - LN_SQRT_2PI
     }
 
     /// Variance `sigma^2`.

@@ -8,12 +8,14 @@
 //! reestimates `(pi, P, emissions)` from the pooled posteriors.
 //!
 //! Numerical notes:
-//! - forward/backward are the scaled recursions from [`super::forward`];
+//! - the E-step is the scaled forward/backward lattice of
+//!   [`super::forward`], one per training run, reused across sequences
+//!   and iterations;
 //! - transition counts get a tiny additive floor so no row of `P` ever
 //!   becomes exactly zero (keeps the chain ergodic and the filter sane);
 //! - state emission fits are clamped to `MIN_SIGMA` by [`Gaussian::new`].
 
-use super::forward::{backward, forward};
+use super::forward::Lattice;
 use super::init::kmeans_init;
 use super::{Emission, Hmm};
 use crate::gaussian::Gaussian;
@@ -104,21 +106,22 @@ pub struct TrainReport {
 
 /// Additive smoothing applied to transition counts so no transition
 /// probability collapses to exactly zero.
-const TRANSITION_FLOOR: f64 = 1e-6;
+pub(super) const TRANSITION_FLOOR: f64 = 1e-6;
 
 /// Trains an HMM on `sequences` with Baum–Welch EM.
 ///
-/// Returns `None` when there is no usable data (no sequences, or all
-/// sequences empty, or fewer distinct observations than states would make
-/// initialization degenerate — in that case we still train but states may
-/// coincide; only truly empty input is rejected).
-pub fn train(sequences: &[Vec<f64>], config: &TrainConfig) -> Option<(Hmm, TrainReport)> {
+/// Returns `None` when there is no usable data: no sequences, all
+/// sequences empty, or an observation no emission of the family can
+/// describe (non-finite; non-positive under [`EmissionFamily::LogNormal`]).
+/// Fewer distinct observations than states is not rejected — states may
+/// then coincide.
+pub fn train<S: AsRef<[f64]>>(sequences: &[S], config: &TrainConfig) -> Option<(Hmm, TrainReport)> {
     train_seeded(sequences, config, None)
 }
 
 /// Checks whether `prior` is a usable warm-start seed under `config`:
 /// valid parameters, matching state count, matching emission family.
-fn prior_usable(prior: &Hmm, config: &TrainConfig) -> bool {
+pub(super) fn prior_usable(prior: &Hmm, config: &TrainConfig) -> bool {
     prior.validate().is_ok()
         && prior.n_states() == config.n_states
         && prior.emissions.iter().all(|e| match config.family {
@@ -137,20 +140,32 @@ fn prior_usable(prior: &Hmm, config: &TrainConfig) -> bool {
 ///
 /// EM monotonicity holds from any valid starting point, so the resumed
 /// run's log-likelihood trace is non-decreasing exactly like a cold run's.
-pub fn train_seeded(
-    sequences: &[Vec<f64>],
+pub fn train_seeded<S: AsRef<[f64]>>(
+    sequences: &[S],
     config: &TrainConfig,
     prior: Option<&Hmm>,
 ) -> Option<(Hmm, TrainReport)> {
     assert!(config.n_states >= 1, "need at least one state");
-    let nonempty: Vec<&Vec<f64>> = sequences.iter().filter(|s| !s.is_empty()).collect();
+    // Sized up front: a filtered `collect` grows by doubling, and the
+    // allocation count of a run must not depend on the data.
+    let mut nonempty: Vec<&[f64]> = Vec::with_capacity(sequences.len());
+    nonempty.extend(
+        sequences
+            .iter()
+            .map(AsRef::as_ref)
+            .filter(|s| !s.is_empty()),
+    );
     if nonempty.is_empty() {
         return None;
     }
-    if config.family == EmissionFamily::LogNormal
-        && nonempty.iter().any(|s| s.iter().any(|&w| w <= 0.0))
-    {
-        return None; // log-normal cannot emit non-positive observations
+    // Neither family can emit a non-finite observation, and log-normal
+    // cannot emit a non-positive one.
+    let positive_only = config.family == EmissionFamily::LogNormal;
+    if nonempty.iter().any(|s| {
+        s.iter()
+            .any(|&w| !w.is_finite() || (positive_only && w <= 0.0))
+    }) {
+        return None;
     }
 
     let start = match prior {
@@ -198,71 +213,51 @@ pub fn train_seeded(
     let mut lls = Vec::with_capacity(config.max_iters);
     let mut converged = false;
     let mut final_rel_delta = f64::INFINITY;
+    let longest = nonempty.iter().map(|s| s.len()).max().unwrap_or(0);
+    let mut lattice = Lattice::new(n, longest);
 
     for _iter in 0..config.max_iters {
         // --- E step: accumulate statistics over all sequences ---
         let mut ll_total = 0.0;
         let mut pi_acc = vec![0.0; n];
-        let mut xi_acc = Matrix::zeros(n, n); // sum_t xi_t(i, j)
+        let mut xi_acc = vec![0.0; n * n]; // sum_t xi_t(i, j), row-major
         let mut gamma_trans_acc = vec![0.0; n]; // sum_{t<T} gamma_t(i)
-                                                // Weighted-emission accumulators: for each state, (sum w*g, sum g,
-                                                // sum w^2*g) over all observations.
+
+        // Weighted-emission accumulators: for each state, (sum g, sum g*x,
+        // sum g*x^2) over all observations.
         let mut em_w = vec![0.0; n];
         let mut em_wx = vec![0.0; n];
         let mut em_wxx = vec![0.0; n];
 
+        lattice.set_model(&hmm);
         for seq in &nonempty {
-            let f = forward(&hmm, seq);
-            ll_total += f.log_likelihood;
-            let beta = backward(&hmm, seq, &f.scales);
-            let t_max = seq.len();
+            ll_total += lattice.smooth(&hmm, seq);
 
-            // gamma_t(i) ∝ alpha_t(i) beta_t(i)
-            let mut gamma = vec![vec![0.0; n]; t_max];
-            for t in 0..t_max {
-                for i in 0..n {
-                    gamma[t][i] = f.alpha[t][i] * beta[t][i];
-                }
-                super::normalize(&mut gamma[t]);
-            }
-
-            for i in 0..n {
-                pi_acc[i] += gamma[0][i];
+            for (acc, &g) in pi_acc.iter_mut().zip(lattice.gamma(0)) {
+                *acc += g;
             }
             for (t, &w) in seq.iter().enumerate() {
                 let x = match config.family {
                     EmissionFamily::Gaussian => w,
                     EmissionFamily::LogNormal => w.ln(),
                 };
-                for i in 0..n {
-                    let g = gamma[t][i];
+                for (i, &g) in lattice.gamma(t).iter().enumerate() {
                     em_w[i] += g;
                     em_wx[i] += g * x;
                     em_wxx[i] += g * x * x;
                 }
             }
 
-            // xi_t(i, j) ∝ alpha_t(i) P_ij e_j(w_{t+1}) beta_{t+1}(j)
-            for t in 0..t_max.saturating_sub(1) {
-                let mut xi = Matrix::zeros(n, n);
-                let mut total = 0.0;
-                for i in 0..n {
-                    for j in 0..n {
-                        let v = f.alpha[t][i]
-                            * hmm.transition[(i, j)]
-                            * hmm.emissions[j].pdf(seq[t + 1])
-                            * beta[t + 1][j];
-                        xi[(i, j)] = v;
-                        total += v;
-                    }
+            // A step whose xi cannot be normalized contributes nothing.
+            for t in 0..seq.len() - 1 {
+                let Some((xi, total)) = lattice.xi(&hmm, t) else {
+                    continue;
+                };
+                for (acc, &v) in xi_acc.iter_mut().zip(xi) {
+                    *acc += v / total;
                 }
-                if total > 0.0 && total.is_finite() {
-                    for i in 0..n {
-                        for j in 0..n {
-                            xi_acc[(i, j)] += xi[(i, j)] / total;
-                        }
-                        gamma_trans_acc[i] += gamma[t][i];
-                    }
+                for (acc, &g) in gamma_trans_acc.iter_mut().zip(lattice.gamma(t)) {
+                    *acc += g;
                 }
             }
         }
@@ -299,7 +294,7 @@ pub fn train_seeded(
         for i in 0..n {
             let denom = gamma_trans_acc[i];
             for j in 0..n {
-                let num = xi_acc[(i, j)] + TRANSITION_FLOOR;
+                let num = xi_acc[i * n + j] + TRANSITION_FLOOR;
                 transition[(i, j)] = if denom > 0.0 {
                     num / (denom + TRANSITION_FLOOR * n as f64)
                 } else {
@@ -312,10 +307,7 @@ pub fn train_seeded(
                     }
                 };
             }
-            let row: Vec<f64> = transition.row(i).to_vec();
-            let mut row = row;
-            super::normalize(&mut row);
-            transition.row_mut(i).copy_from_slice(&row);
+            super::normalize(transition.row_mut(i));
         }
 
         let emissions: Vec<Emission> = (0..n)
@@ -403,7 +395,7 @@ mod tests {
     #[test]
     fn rejects_empty_input() {
         let cfg = TrainConfig::default();
-        assert!(train(&[], &cfg).is_none());
+        assert!(train::<Vec<f64>>(&[], &cfg).is_none());
         assert!(train(&[vec![]], &cfg).is_none());
     }
 

@@ -21,10 +21,10 @@ const STICKY: f64 = 0.8;
 /// Builds an initial HMM for EM from the pooled observations.
 ///
 /// Returns `None` if there are no observations at all.
-pub fn kmeans_init(sequences: &[&Vec<f64>], config: &TrainConfig) -> Option<Hmm> {
+pub fn kmeans_init<S: AsRef<[f64]>>(sequences: &[S], config: &TrainConfig) -> Option<Hmm> {
     let mut pooled: Vec<f64> = sequences
         .iter()
-        .flat_map(|s| s.iter().copied())
+        .flat_map(|s| s.as_ref().iter().copied())
         .map(|w| match config.family {
             EmissionFamily::Gaussian => w,
             EmissionFamily::LogNormal => w.ln(),
@@ -33,7 +33,7 @@ pub fn kmeans_init(sequences: &[&Vec<f64>], config: &TrainConfig) -> Option<Hmm>
     if pooled.is_empty() {
         return None;
     }
-    pooled.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    pooled.sort_by(f64::total_cmp);
 
     let n = config.n_states;
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
@@ -139,7 +139,7 @@ fn kmeans_1d<R: Rng + ?Sized>(data: &[f64], k: usize, rng: &mut R) -> Vec<f64> {
             break;
         }
     }
-    centers.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    centers.sort_by(f64::total_cmp);
     centers
 }
 

@@ -26,6 +26,8 @@ mod baum_welch;
 mod filter;
 mod forward;
 mod init;
+#[cfg(test)]
+mod reference;
 mod select;
 mod viterbi;
 
@@ -57,13 +59,28 @@ pub enum Emission {
 impl Emission {
     /// Log-density of observation `w` under this emission.
     pub fn log_pdf(&self, w: f64) -> f64 {
+        self.log_pdf_given(w, self.ln_sigma())
+    }
+
+    /// `ln sigma` of the underlying Gaussian, the one term of
+    /// [`log_pdf`](Self::log_pdf) that does not depend on the observation.
+    pub(crate) fn ln_sigma(&self) -> f64 {
         match self {
-            Emission::Gaussian(g) => g.log_pdf(w),
+            Emission::Gaussian(g) | Emission::LogNormal(g) => g.sigma.ln(),
+        }
+    }
+
+    /// [`log_pdf`](Self::log_pdf) with [`ln_sigma`](Self::ln_sigma)
+    /// supplied by the caller.
+    pub(crate) fn log_pdf_given(&self, w: f64, ln_sigma: f64) -> f64 {
+        match self {
+            Emission::Gaussian(g) => g.log_pdf_given(w, ln_sigma),
             Emission::LogNormal(g) => {
                 if w <= 0.0 {
                     f64::NEG_INFINITY
                 } else {
-                    g.log_pdf(w.ln()) - w.ln()
+                    let ln_w = w.ln();
+                    g.log_pdf_given(ln_w, ln_sigma) - ln_w
                 }
             }
         }
@@ -169,7 +186,7 @@ impl Hmm {
 
     /// Total log-likelihood of an observation sequence under the model.
     pub fn log_likelihood(&self, obs: &[f64]) -> f64 {
-        forward::forward(self, obs).log_likelihood
+        forward::log_likelihood(self, obs)
     }
 
     /// Starts an online filter (Algorithm 1) from the model's initial

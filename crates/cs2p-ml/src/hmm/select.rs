@@ -45,9 +45,16 @@ pub struct SelectReport {
 /// Runs k-fold CV over `sequences` and returns the best state count.
 ///
 /// Returns `None` when no candidate could be evaluated (too little data).
-pub fn select_state_count(sequences: &[Vec<f64>], config: &SelectConfig) -> Option<SelectReport> {
+pub fn select_state_count<S: AsRef<[f64]>>(
+    sequences: &[S],
+    config: &SelectConfig,
+) -> Option<SelectReport> {
     assert!(config.folds >= 2, "need at least 2 folds");
-    let usable: Vec<&Vec<f64>> = sequences.iter().filter(|s| s.len() >= 2).collect();
+    let usable: Vec<&[f64]> = sequences
+        .iter()
+        .map(AsRef::as_ref)
+        .filter(|s| s.len() >= 2)
+        .collect();
     if usable.len() < config.folds {
         return None;
     }
@@ -56,13 +63,13 @@ pub fn select_state_count(sequences: &[Vec<f64>], config: &SelectConfig) -> Opti
     for &n in &config.candidates {
         let mut fold_errors = Vec::new();
         for fold in 0..config.folds {
-            let train_set: Vec<Vec<f64>> = usable
+            let train_set: Vec<&[f64]> = usable
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| i % config.folds != fold)
-                .map(|(_, s)| (*s).clone())
+                .map(|(_, s)| *s)
                 .collect();
-            let test_set: Vec<&Vec<f64>> = usable
+            let test_set: Vec<&[f64]> = usable
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| i % config.folds == fold)
@@ -94,18 +101,18 @@ pub fn select_state_count(sequences: &[Vec<f64>], config: &SelectConfig) -> Opti
 
 /// Mean one-step-ahead absolute normalized error of `hmm` over `test`
 /// sequences, run through the online filter exactly as in production.
-pub fn one_step_error(hmm: &super::Hmm, test: &[&Vec<f64>]) -> Option<f64> {
+pub fn one_step_error<S: AsRef<[f64]>>(hmm: &super::Hmm, test: &[S]) -> Option<f64> {
     let mut total = 0.0;
     let mut count = 0usize;
     for seq in test {
+        let seq = seq.as_ref();
         if seq.len() < 2 {
             continue;
         }
         let mut filter = hmm.filter();
         filter.observe(seq[0]);
-        for t in 1..seq.len() {
+        for &actual in &seq[1..] {
             let pred = filter.predict_next();
-            let actual = seq[t];
             if actual.abs() > 1e-12 {
                 total += (pred - actual).abs() / actual.abs();
                 count += 1;

@@ -109,8 +109,32 @@ fn empty_sequences_are_filtered_not_fatal() {
 #[test]
 fn all_empty_input_returns_none() {
     let config = TrainConfig::default();
-    assert!(train(&[], &config).is_none());
+    assert!(train::<Vec<f64>>(&[], &config).is_none());
     assert!(train(&[vec![], vec![]], &config).is_none());
+}
+
+#[test]
+fn non_finite_observations_are_rejected_not_panicked_on() {
+    // A NaN used to unwrap a `partial_cmp` in the k-means sort and an
+    // infinity tripped `Gaussian::new`'s assert — on the registry's
+    // retrain thread, in production terms.
+    for family in [EmissionFamily::Gaussian, EmissionFamily::LogNormal] {
+        let config = TrainConfig {
+            n_states: 2,
+            family,
+            ..TrainConfig::default()
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let sequences = [vec![1.0, bad, 2.0], vec![1.5, 2.5, 0.5]];
+            assert!(train(&sequences, &config).is_none(), "{family:?}, {bad}");
+            let last = [vec![1.5, 2.5, 0.5], vec![1.0, 2.0, bad]];
+            assert!(train(&last, &config).is_none(), "{family:?}, {bad} last");
+        }
+        assert!(
+            train(&[vec![1.0, 3.0, 2.0]], &config).is_some(),
+            "{family:?}"
+        );
+    }
 }
 
 #[test]
