@@ -9,7 +9,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use cs2p_bench::materials;
 use cs2p_core::{ClientModel, ThroughputPredictor};
-use cs2p_net::{serve, PredictRequest, PredictResponse};
+use cs2p_net::http::Request;
+use cs2p_net::{serve, HttpClient, PredictRequest, PredictResponse};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -108,6 +109,16 @@ fn bench_training(c: &mut Criterion) {
     g.finish();
 }
 
+/// One `POST /predict` round trip, answer decoded.
+fn predict(client: &mut HttpClient, req: &PredictRequest) -> PredictResponse {
+    let body = serde_json::to_vec(req).expect("encode");
+    let resp = client
+        .send(&Request::new("POST", "/predict", body))
+        .expect("predict");
+    assert_eq!(resp.status, 200);
+    serde_json::from_slice(&resp.body).expect("decode")
+}
+
 fn bench_server_throughput(c: &mut Criterion) {
     let m = materials();
     let server = serve(m.engine.clone(), "127.0.0.1:0").expect("server");
@@ -123,7 +134,7 @@ fn bench_server_throughput(c: &mut Criterion) {
         .map(|t| {
             let features = features.clone();
             std::thread::spawn(move || {
-                let mut client = cs2p_net::HttpClient::new(addr);
+                let mut client = HttpClient::new(addr);
                 for i in 0..per_thread {
                     let req = PredictRequest {
                         session_id: t * 1_000_000 + i,
@@ -131,7 +142,7 @@ fn bench_server_throughput(c: &mut Criterion) {
                         measured_mbps: None,
                         horizon: 1,
                     };
-                    let _: PredictResponse = client.post_json("/predict", &req).expect("predict");
+                    predict(&mut client, &req);
                 }
             })
         })
@@ -147,14 +158,14 @@ fn bench_server_throughput(c: &mut Criterion) {
     );
 
     // Latency of one round trip (keep-alive, midstream prediction).
-    let mut client = cs2p_net::HttpClient::new(addr);
+    let mut client = HttpClient::new(addr);
     let reg = PredictRequest {
         session_id: 777,
         features: Some(features.clone()),
         measured_mbps: None,
         horizon: 1,
     };
-    let _: PredictResponse = client.post_json("/predict", &reg).unwrap();
+    predict(&mut client, &reg);
     let mut g = c.benchmark_group("server");
     g.sample_size(50);
     g.bench_function("http_predict_roundtrip", |b| {
@@ -165,8 +176,7 @@ fn bench_server_throughput(c: &mut Criterion) {
                 measured_mbps: Some(2.0),
                 horizon: 8,
             };
-            let resp: PredictResponse = client.post_json("/predict", &req).expect("predict");
-            black_box(resp)
+            black_box(predict(&mut client, &req))
         })
     });
     g.finish();

@@ -7,9 +7,9 @@
 //! Readers take a snapshot with [`current`](ModelRegistry::current) and
 //! keep using it for as long as they like — a swap never mutates a
 //! published engine, so an in-flight session's HMM filter state stays
-//! consistent with the exact model it started on. [`retrain`]
-//! (ModelRegistry::retrain) trains the next version *outside* the lock,
-//! warm-starting every cluster from the current version
+//! consistent with the exact model it started on.
+//! [`retrain`](ModelRegistry::retrain) trains the next version *outside*
+//! the lock, warm-starting every cluster from the current version
 //! ([`PredictionEngine::train_with_prior`]), then publishes it with a
 //! brief write-lock swap.
 //!

@@ -15,7 +15,7 @@
 //! bounded, not exact.
 //!
 //! The closing gate asserts the group-commit durable server sustains at
-//! least [`MIN_DURABLE_RATIO`] of the in-memory throughput at batch 64 —
+//! least `MIN_DURABLE_RATIO` of the in-memory throughput at batch 64 —
 //! the amortized regime the batch path exists for. If the WAL ever costs
 //! more than that, a serving-path regression snuck into the durability
 //! layer.

@@ -1,18 +1,16 @@
 //! The player-side HTTP client and the remote predictor.
 //!
 //! [`HttpClient`] is a tiny blocking client with one keep-alive connection
-//! (reconnecting on failure). [`RemotePredictor`] makes the prediction
-//! server look like any other [`ThroughputPredictor`]: `observe` buffers
-//! the measurement, and the next prediction request flushes it in the POST
-//! — exactly the Dash.js flow of §6 ("it sends a POST request (containing
-//! the actual throughput of the last epoch) to the server and fetches the
-//! result of throughput prediction").
+//! (reconnecting on failure); its injectable clock drives the circuit
+//! breaker's cooldown and nothing else. [`RemotePredictor`] makes the
+//! prediction server look like any other [`ThroughputPredictor`]:
+//! `observe` buffers the measurement, and the next prediction request
+//! flushes it in the POST — exactly the Dash.js flow of §6 ("it sends a
+//! POST request (containing the actual throughput of the last epoch) to
+//! the server and fetches the result of throughput prediction").
 
 use crate::http::{read_response, write_request, Request, Response};
-use crate::protocol::{
-    BatchEntryResult, BatchPredictRequest, BatchPredictResponse, Degradation, PredictRequest,
-    SessionLog, MAX_BATCH_ENTRIES,
-};
+use crate::protocol::{Degradation, PredictRequest, PredictResponse, SessionLog};
 use crate::transport::{IoHalf, TransportWrapper};
 use bytes::Bytes;
 use cs2p_core::ThroughputPredictor;
@@ -208,34 +206,6 @@ impl CircuitBreaker {
     }
 }
 
-/// The coalescing buffer behind [`HttpClient::with_batching`]: queued
-/// predict entries waiting to go out as one `/predict_batch` frame.
-struct Batching {
-    /// Flush when this many entries are pending.
-    max_entries: usize,
-    /// Flush when the oldest pending entry has waited this long (checked
-    /// against the injectable clock at each `queue_predict`).
-    max_delay: Duration,
-    /// Entries queued since the last flush, in arrival order.
-    pending: Vec<PredictRequest>,
-    /// Clock reading when `pending[0]` was queued.
-    first_queued_us: Option<u64>,
-}
-
-/// What a batch flush produced.
-#[derive(Debug)]
-pub enum BatchFlush {
-    /// Per-entry results in queue order, each paired with the request it
-    /// answers. Entry statuses are independent: one evicted session (404)
-    /// does not fail its neighbours.
-    Done(Vec<(PredictRequest, BatchEntryResult)>),
-    /// The server rejected the whole frame with backpressure (503). The
-    /// entries were **re-queued** — backpressure rejects the frame before
-    /// any entry is applied, so replaying it later is safe — and the
-    /// client's persistent backoff state was charged.
-    Backpressure,
-}
-
 /// A blocking HTTP/1.1 client holding one keep-alive connection, with
 /// seeded capped-exponential retry (see [`RetryPolicy`]) and an optional
 /// per-connection transport hook for fault injection.
@@ -252,16 +222,13 @@ pub struct HttpClient {
     /// (seeded) RNG, sent as `x-trace-id` and scoped over the client's
     /// own spans. Retries of one request share its id.
     trace_rng: Option<ChaCha8Rng>,
-    /// The coalescing buffer, when [`Self::with_batching`] enabled it.
-    batching: Option<Batching>,
     /// The circuit breaker, when [`Self::with_breaker`] armed it.
     breaker: Option<CircuitBreaker>,
     /// `Retry-After` seconds from the most recent 503; floors the next
     /// backpressure delay and clears on the next non-503 success.
     retry_after_hint_secs: Option<u64>,
-    /// Time source for the coalescing max-delay check and the breaker
-    /// cooldown (injectable so tests crank a
-    /// [`ManualClock`](cs2p_obs::ManualClock)).
+    /// Time source for the breaker cooldown (injectable so tests crank
+    /// a [`ManualClock`](cs2p_obs::ManualClock)).
     clock: Arc<dyn Clock>,
 }
 
@@ -275,7 +242,6 @@ impl std::fmt::Debug for HttpClient {
             .field("transport_wrapper", &self.transport_wrapper.is_some())
             .field("connects", &self.connects)
             .field("tracing", &self.trace_rng.is_some())
-            .field("batching", &self.batching.is_some())
             .field("breaker", &self.breaker.as_ref().map(|b| b.state))
             .finish()
     }
@@ -295,7 +261,6 @@ impl HttpClient {
             transport_wrapper: None,
             connects: 0,
             trace_rng: None,
-            batching: None,
             breaker: None,
             retry_after_hint_secs: None,
             clock: Arc::new(MonotonicClock::new()),
@@ -333,26 +298,10 @@ impl HttpClient {
         self
     }
 
-    /// Enables request coalescing: [`Self::queue_predict`] buffers
-    /// entries and ships them as one `POST /predict_batch` frame once
-    /// `max_entries` are pending or the oldest entry has waited
-    /// `max_delay` (measured on the injectable clock — see
-    /// [`Self::with_clock`]). `max_entries` is clamped to
-    /// [`MAX_BATCH_ENTRIES`] so a well-configured client never trips the
-    /// server's frame limit.
-    pub fn with_batching(mut self, max_entries: usize, max_delay: Duration) -> Self {
-        self.batching = Some(Batching {
-            max_entries: max_entries.clamp(1, MAX_BATCH_ENTRIES),
-            max_delay,
-            pending: Vec::new(),
-            first_queued_us: None,
-        });
-        self
-    }
-
-    /// Replaces the time source used by the coalescing max-delay check.
-    /// Tests install a [`ManualClock`](cs2p_obs::ManualClock) and crank
-    /// it explicitly; the default is a real monotonic clock.
+    /// Replaces the time source the breaker cooldown is measured on
+    /// (its only reader). Tests install a
+    /// [`ManualClock`](cs2p_obs::ManualClock) and crank it explicitly;
+    /// the default is a real monotonic clock.
     pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
         self.clock = clock;
         self
@@ -381,116 +330,6 @@ impl HttpClient {
     /// [`Self::note_backpressure`] delay.
     pub fn retry_after_hint_secs(&self) -> Option<u64> {
         self.retry_after_hint_secs
-    }
-
-    /// Whether [`Self::with_batching`] enabled coalescing.
-    pub fn batching_enabled(&self) -> bool {
-        self.batching.is_some()
-    }
-
-    /// Entries currently waiting in the coalescing buffer.
-    pub fn pending_predicts(&self) -> usize {
-        self.batching.as_ref().map_or(0, |b| b.pending.len())
-    }
-
-    /// Queues one predict entry for the next batch frame. Returns
-    /// `Ok(None)` while coalescing; returns the flush outcome when this
-    /// entry tripped a threshold (`max_entries` reached, or the oldest
-    /// pending entry aged past `max_delay`). Panics if
-    /// [`Self::with_batching`] was never called — queueing without a
-    /// coalescing policy is a programming error, not a runtime state.
-    pub fn queue_predict(&mut self, entry: PredictRequest) -> io::Result<Option<BatchFlush>> {
-        let now = self.clock.now_micros();
-        let b = self
-            .batching
-            .as_mut()
-            .expect("queue_predict requires with_batching");
-        if b.pending.is_empty() {
-            b.first_queued_us = Some(now);
-        }
-        b.pending.push(entry);
-        let full = b.pending.len() >= b.max_entries;
-        let aged = b
-            .first_queued_us
-            .map(|t0| now.saturating_sub(t0) >= b.max_delay.as_micros() as u64)
-            .unwrap_or(false);
-        if full || aged {
-            return self.flush_predicts().map(Some);
-        }
-        Ok(None)
-    }
-
-    /// Forces the coalescing buffer out as one `/predict_batch` frame
-    /// regardless of thresholds. An empty buffer is a no-op (`Done`
-    /// with no results). Transport failures ride the client's normal
-    /// retry path — the whole frame is replayed, same idempotency
-    /// semantics as a singleton `/predict` retry — and on final failure
-    /// the entries are re-queued so the measurements they carry are not
-    /// lost.
-    pub fn flush_predicts(&mut self) -> io::Result<BatchFlush> {
-        let Some(b) = self.batching.as_mut() else {
-            return Ok(BatchFlush::Done(Vec::new()));
-        };
-        if b.pending.is_empty() {
-            return Ok(BatchFlush::Done(Vec::new()));
-        }
-        let entries = std::mem::take(&mut b.pending);
-        b.first_queued_us = None;
-        let breq = BatchPredictRequest { entries };
-        let body = breq.to_json_bytes();
-        let entries = breq.entries;
-        if cs2p_obs::enabled() {
-            cs2p_obs::counter_add("client.batch.flushes", 1);
-            cs2p_obs::counter_add("client.batch.entries", entries.len() as u64);
-        }
-        let resp = match self.send(&Request::new("POST", "/predict_batch", body)) {
-            Ok(resp) => resp,
-            Err(e) => {
-                self.requeue(entries);
-                return Err(e);
-            }
-        };
-        match resp.status {
-            200..=299 => {
-                let bresp: BatchPredictResponse = serde_json::from_slice(&resp.body)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                if bresp.results.len() != entries.len() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "batch result count does not match entry count",
-                    ));
-                }
-                Ok(BatchFlush::Done(
-                    entries.into_iter().zip(bresp.results).collect(),
-                ))
-            }
-            503 => {
-                // Rejected before any entry was applied: re-queue the
-                // frame and charge the persistent backoff state.
-                self.requeue(entries);
-                self.note_backpressure();
-                self.reset_connection();
-                Ok(BatchFlush::Backpressure)
-            }
-            status => Err(io::Error::other(format!(
-                "batch predict failed: {} {}",
-                status,
-                String::from_utf8_lossy(&resp.body)
-            ))),
-        }
-    }
-
-    /// Puts entries back at the *front* of the coalescing buffer,
-    /// preserving frame order ahead of anything queued meanwhile.
-    fn requeue(&mut self, mut entries: Vec<PredictRequest>) {
-        let now = self.clock.now_micros();
-        if let Some(b) = self.batching.as_mut() {
-            entries.append(&mut b.pending);
-            b.pending = entries;
-            if !b.pending.is_empty() && b.first_queued_us.is_none() {
-                b.first_queued_us = Some(now);
-            }
-        }
     }
 
     /// Consecutive failed attempts the backoff state currently remembers
@@ -636,26 +475,6 @@ impl HttpClient {
         read_response(reader)
     }
 
-    /// POSTs a JSON value, expecting a 2xx JSON reply.
-    pub fn post_json<T: serde::Serialize, R: serde::de::DeserializeOwned>(
-        &mut self,
-        path: &str,
-        value: &T,
-    ) -> io::Result<R> {
-        let body =
-            serde_json::to_vec(value).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let resp = self.send(&Request::new("POST", path, body))?;
-        if !(200..300).contains(&resp.status) {
-            return Err(io::Error::other(format!(
-                "server returned {}: {}",
-                resp.status,
-                String::from_utf8_lossy(&resp.body)
-            )));
-        }
-        serde_json::from_slice(&resp.body)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-    }
-
     /// GETs a path, expecting a 2xx reply.
     pub fn get(&mut self, path: &str) -> io::Result<Response> {
         let resp = self.send(&Request::new("GET", path, Bytes::new()))?;
@@ -732,26 +551,16 @@ impl RemotePredictor {
         }
     }
 
-    /// This session's next entry: features until a registration has been
-    /// acknowledged, plus the unshipped measurement. The measurement
-    /// *moves* into the request; [`Self::absorb`] restores it if its entry
-    /// comes back 404, the transports if the request gets no answer.
-    fn next_request(&mut self, horizon: usize) -> PredictRequest {
-        PredictRequest {
-            session_id: self.session_id,
-            features: (!self.registered).then(|| self.features.clone()),
-            measured_mbps: self.pending_measurement.take(),
-            horizon,
-        }
-    }
-
     /// Ensures the cache covers `k` epochs ahead, POSTing if necessary.
     /// Returns `None` on network failure or server backpressure
     /// (prediction is best-effort; the player degrades to no-prediction
     /// behaviour rather than stalling). If the server evicted this
     /// session (404 "unknown session"), re-registers transparently by
-    /// resending the features — per *entry* when batching, exactly like
-    /// the singleton transport.
+    /// resending the features.
+    ///
+    /// Only a 200 absorbs the unshipped measurement. After anything else
+    /// it reached no filter, so it stays pending and the next request
+    /// carries it again.
     fn ensure_cache(&mut self, k: usize) -> Option<()> {
         let dirty = self.pending_measurement.is_some() || !self.registered;
         if !dirty && self.cache.len() >= k {
@@ -760,121 +569,48 @@ impl RemotePredictor {
         // Two attempts: the second only after a 404 told us the server
         // no longer knows this session and we must resend features.
         for _ in 0..2 {
-            let preq = self.next_request(self.fetch_horizon.max(k));
-            let results = if self.client.batching_enabled() {
-                self.flush_with(preq)?
-            } else {
-                vec![self.post_single(preq)?]
+            let preq = PredictRequest {
+                session_id: self.session_id,
+                features: (!self.registered).then(|| self.features.clone()),
+                measured_mbps: self.pending_measurement,
+                horizon: self.fetch_horizon.max(k),
             };
-            let evicted = self.absorb(&results);
-            let ok = results
-                .last()
-                .is_some_and(|(_, r)| (200..300).contains(&r.status));
-            if ok {
-                return Some(());
-            }
-            if !evicted {
-                return None;
-            }
-            // Evicted server-side: loop once more with features.
-        }
-        None
-    }
-
-    /// The batched transport: queues `preq` into the client's coalescing
-    /// buffer and forces a flush (this predictor is blocking — it needs
-    /// the answer now, but the flush also carries any entries
-    /// [`Self::observe`] coalesced earlier). An unanswered frame stays
-    /// queued in the client, measurements included.
-    fn flush_with(
-        &mut self,
-        preq: PredictRequest,
-    ) -> Option<Vec<(PredictRequest, BatchEntryResult)>> {
-        let flush = match self.client.queue_predict(preq) {
-            Ok(Some(flush)) => flush,
-            Ok(None) => self.client.flush_predicts().ok()?,
-            Err(_) => return None,
-        };
-        match flush {
-            BatchFlush::Done(results) => Some(results),
-            BatchFlush::Backpressure => {
-                cs2p_obs::counter_add("predict.client.backpressure", 1);
-                None
-            }
-        }
-    }
-
-    /// The singleton transport: one `/predict` round trip, answered in
-    /// the shape a batch frame answers an entry so [`Self::absorb`] books
-    /// both. Only a 200 or a 404 is an answer; after anything else
-    /// (transport failure, 503, another status, an unparseable body) the
-    /// measurement goes back to `pending_measurement` — it reached no
-    /// filter, and the next call resends it.
-    fn post_single(&mut self, preq: PredictRequest) -> Option<(PredictRequest, BatchEntryResult)> {
-        let Some(answer) = self.try_post_single(&preq) else {
-            self.pending_measurement = preq.measured_mbps;
-            return None;
-        };
-        Some((preq, answer))
-    }
-
-    fn try_post_single(&mut self, preq: &PredictRequest) -> Option<BatchEntryResult> {
-        let body = serde_json::to_vec(preq).ok()?;
-        let resp = self
-            .client
-            .send(&Request::new("POST", "/predict", body))
-            .ok()?;
-        match resp.status {
-            200..=299 => Some(BatchEntryResult::ok(
-                serde_json::from_slice(&resp.body).ok()?,
-            )),
-            404 => Some(BatchEntryResult::failed(404, "unknown session")),
-            503 => {
-                cs2p_obs::counter_add("predict.client.backpressure", 1);
-                // The 503 carried `Connection: close`; charge the
-                // client's persistent backoff state so a 503 burst
-                // escalates the wait instead of hammering the server.
-                self.client.note_backpressure();
-                self.client.reset_connection();
-                None
-            }
-            _ => None,
-        }
-    }
-
-    /// Applies answered entries to the session bookkeeping, in frame
-    /// order — the one place a 200 or a 404 is booked, whichever transport
-    /// carried it. Returns whether any entry reported the session evicted
-    /// (404).
-    fn absorb(&mut self, results: &[(PredictRequest, BatchEntryResult)]) -> bool {
-        let mut evicted = false;
-        for (req, r) in results {
-            match r.status {
+            let body = serde_json::to_vec(&preq).ok()?;
+            let resp = self
+                .client
+                .send(&Request::new("POST", "/predict", body))
+                .ok()?;
+            match resp.status {
                 200..=299 => {
-                    if let Some(presp) = &r.response {
-                        self.registered = true;
-                        self.cache = presp.predictions_mbps.clone();
-                        self.cache_initial = presp.initial;
-                        self.note_degradation(presp.degradation);
-                    }
+                    let presp: PredictResponse = serde_json::from_slice(&resp.body).ok()?;
+                    self.pending_measurement = None;
+                    self.registered = true;
+                    self.cache = presp.predictions_mbps;
+                    self.cache_initial = presp.initial;
+                    self.note_degradation(presp.degradation);
+                    return Some(());
                 }
                 404 => {
+                    // Evicted server-side: loop once more with features,
+                    // so the re-registered session's fresh filter still
+                    // sees the latest observation.
                     cs2p_obs::counter_add("predict.client.reinit", 1);
-                    evicted = true;
                     self.registered = false;
                     self.cache.clear();
-                    // Evicted server-side. The measurement this entry
-                    // carried never reached a filter; reclaim it so the
-                    // re-registered session's fresh filter still sees
-                    // the latest observation.
-                    if self.pending_measurement.is_none() {
-                        self.pending_measurement = req.measured_mbps;
-                    }
                 }
-                _ => self.cache.clear(),
+                503 => {
+                    cs2p_obs::counter_add("predict.client.backpressure", 1);
+                    // The 503 carried `Connection: close`; charge the
+                    // client's persistent backoff state so a 503 burst
+                    // escalates the wait instead of hammering the server.
+                    self.client.note_backpressure();
+                    self.client.reset_connection();
+                    return None;
+                }
+                _ => return None,
             }
         }
-        evicted
+        None
     }
 
     /// Uploads a session log (fire-and-forget semantics on error).
@@ -916,18 +652,7 @@ impl ThroughputPredictor for RemotePredictor {
         // If two observations land without an intervening prediction, ship
         // the first immediately so the server's filter sees every epoch.
         if self.pending_measurement.is_some() {
-            if self.client.batching_enabled() {
-                // Coalescing mode: the first measurement joins the batch
-                // queue instead of paying a round trip now; a flush (here
-                // if a threshold trips, else at the next prediction)
-                // delivers it in order.
-                let entry = self.next_request(1);
-                if let Ok(Some(BatchFlush::Done(results))) = self.client.queue_predict(entry) {
-                    self.absorb(&results);
-                }
-            } else {
-                let _ = self.ensure_cache(1);
-            }
+            let _ = self.ensure_cache(1);
         }
         self.pending_measurement = Some(throughput);
     }
@@ -937,6 +662,7 @@ impl ThroughputPredictor for RemotePredictor {
         self.registered = false;
         self.cache.clear();
         self.cache_initial = false;
+        self.last_degradation = None;
     }
 }
 
@@ -994,7 +720,11 @@ mod tests {
         let _ = p.predict_initial();
         p.observe(5.0);
         let _ = p.predict_next();
+        // The ladder level the last 200 was served at is session state
+        // like the cache: reset must not report it for the next session.
+        p.last_degradation = Some(Degradation::Fallback);
         p.reset();
+        assert_eq!(p.last_degradation(), None);
         // After reset the first prediction is initial again (server keeps
         // the old session state, but a fresh session id would normally be
         // used; here the same id resumes server-side midstream state).
@@ -1114,191 +844,35 @@ mod tests {
     }
 
     #[test]
-    fn queue_predict_coalesces_until_max_entries() {
-        let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
-        let mut client = HttpClient::new(server.addr()).with_batching(3, Duration::from_secs(60));
-        let entry = |sid: u64| PredictRequest {
-            session_id: sid,
-            features: Some(vec![sid as u32 % 2]),
-            measured_mbps: None,
-            horizon: 1,
-        };
-        assert!(matches!(client.queue_predict(entry(1)), Ok(None)));
-        assert!(matches!(client.queue_predict(entry(2)), Ok(None)));
-        assert_eq!(client.pending_predicts(), 2);
-        assert_eq!(server.predictions_served(), 0, "nothing shipped yet");
-        // Third entry trips max_entries: one frame, three results.
-        let flush = client.queue_predict(entry(3)).unwrap().unwrap();
-        let BatchFlush::Done(results) = flush else {
-            panic!("expected Done");
-        };
-        assert_eq!(results.len(), 3);
-        assert!(results.iter().all(|(_, r)| r.status == 200));
-        assert_eq!(client.pending_predicts(), 0);
-        assert_eq!(server.predictions_served(), 3);
-        server.shutdown();
-    }
-
-    #[test]
-    fn queue_predict_flushes_when_the_manual_clock_ages_the_buffer() {
-        use cs2p_obs::ManualClock;
-        let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
-        let clock = Arc::new(ManualClock::new());
-        let mut client = HttpClient::new(server.addr())
-            .with_batching(100, Duration::from_millis(5))
-            .with_clock(Arc::clone(&clock) as Arc<dyn cs2p_obs::Clock>);
-        let entry = |sid: u64| PredictRequest {
-            session_id: sid,
-            features: Some(vec![0]),
-            measured_mbps: None,
-            horizon: 1,
-        };
-        assert!(matches!(client.queue_predict(entry(1)), Ok(None)));
-        clock.advance(4_000);
-        assert!(
-            matches!(client.queue_predict(entry(2)), Ok(None)),
-            "4ms < max_delay: still coalescing"
-        );
-        clock.advance(1_000);
-        let flush = client.queue_predict(entry(3)).unwrap().unwrap();
-        let BatchFlush::Done(results) = flush else {
-            panic!("expected Done");
-        };
-        assert_eq!(results.len(), 3, "5ms elapsed since first entry: flush");
-        server.shutdown();
-    }
-
-    #[test]
-    fn flush_predicts_forces_a_partial_buffer_out() {
-        let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
-        let mut client =
-            HttpClient::new(server.addr()).with_batching(1000, Duration::from_secs(60));
-        // Empty flush is a no-op.
-        let BatchFlush::Done(empty) = client.flush_predicts().unwrap() else {
-            panic!("expected Done");
-        };
-        assert!(empty.is_empty());
-        let _ = client.queue_predict(PredictRequest {
-            session_id: 9,
-            features: Some(vec![1]),
-            measured_mbps: None,
-            horizon: 2,
-        });
-        let BatchFlush::Done(results) = client.flush_predicts().unwrap() else {
-            panic!("expected Done");
-        };
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].1.status, 200);
-        assert!(!results[0]
-            .1
-            .response
-            .as_ref()
-            .unwrap()
-            .predictions_mbps
-            .is_empty());
-        server.shutdown();
-    }
-
-    #[test]
-    fn batched_remote_predictor_matches_the_singleton_one() {
-        // The transparency seam: the same call sequence through a
-        // batching client must yield the same predictions as the plain
-        // singleton client against an identical server.
-        let drive = |batched: bool| {
+    fn shed_answer_neither_loses_nor_duplicates_the_measurement() {
+        use crate::admission::AdmissionLevel;
+        // Twin servers, twin predictors, one script; only `shed` sees 503s.
+        let drive = |shed: bool| {
             let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
-            let client = if batched {
-                HttpClient::new(server.addr()).with_batching(8, Duration::from_secs(60))
-            } else {
-                HttpClient::new(server.addr())
-            };
+            let client = HttpClient::new(server.addr()).with_sleeper(Arc::new(|_| {}));
             let mut p = RemotePredictor::from_client(client, 1, vec![1]);
-            let mut out = Vec::new();
-            out.push(p.predict_initial());
-            for epoch in 0..4 {
-                p.observe(5.0 + 0.1 * epoch as f64);
-                out.push(p.predict_next());
-                out.push(p.predict_ahead(3));
+            let mut out = vec![p.predict_initial()];
+            p.observe(5.2);
+            out.push(p.predict_next());
+            p.observe(4.7);
+            if shed {
+                server.force_admission_level(Some(AdmissionLevel::Shed));
+                assert_eq!(p.predict_next(), None);
+                assert_eq!(p.predict_next(), None);
+                server.force_admission_level(None);
             }
+            out.push(p.predict_next());
+            out.push(p.predict_ahead(3));
+            p.observe(5.0);
+            out.push(p.predict_next());
+            let served = server.predictions_served();
             server.shutdown();
-            out
+            let bits: Vec<Option<u64>> = out.into_iter().map(|v| v.map(f64::to_bits)).collect();
+            (bits, served)
         };
-        assert_eq!(drive(false), drive(true));
-    }
-
-    #[test]
-    fn batched_predictor_reregisters_on_per_entry_404() {
-        use crate::server::{serve_with, ServeConfig};
-        let config = ServeConfig {
-            n_shards: 1,
-            max_sessions: 1,
-            ..ServeConfig::default()
-        };
-        let server = serve_with(tiny_engine(), "127.0.0.1:0", config).unwrap();
-        let client1 = HttpClient::new(server.addr()).with_batching(8, Duration::from_secs(60));
-        let mut p1 = RemotePredictor::from_client(client1, 1, vec![1]);
-        assert!(p1.predict_initial().is_some());
-        // A second session evicts the first (capacity 1).
-        let client2 = HttpClient::new(server.addr()).with_batching(8, Duration::from_secs(60));
-        let mut p2 = RemotePredictor::from_client(client2, 2, vec![0]);
-        assert!(p2.predict_initial().is_some());
-        // The first keeps streaming: its batch entry answers 404 and the
-        // predictor re-registers inside the same ensure_cache call.
-        p1.observe(5.0);
-        assert!(p1.predict_next().is_some());
-        let stats = server.shutdown();
-        assert!(stats.sessions_evicted >= 1);
-    }
-
-    #[test]
-    fn backpressure_requeues_the_batch_frame() {
-        use crate::server::{serve_with, ServeConfig};
-        let config = ServeConfig {
-            max_connections: 1,
-            ..ServeConfig::default()
-        };
-        let server = serve_with(tiny_engine(), "127.0.0.1:0", config).unwrap();
-        // Occupy the single slot so the batching client's connection is
-        // rejected with a 503.
-        let mut holder = HttpClient::new(server.addr());
-        assert_eq!(holder.get("/healthz").unwrap().status, 200);
-        let mut client = HttpClient::new(server.addr())
-            .with_batching(8, Duration::from_secs(60))
-            .with_sleeper(Arc::new(|_| {}));
-        let _ = client.queue_predict(PredictRequest {
-            session_id: 5,
-            features: Some(vec![0]),
-            measured_mbps: Some(1.0),
-            horizon: 1,
-        });
-        let flush = client.flush_predicts().unwrap();
-        assert!(matches!(flush, BatchFlush::Backpressure));
-        assert_eq!(
-            client.pending_predicts(),
-            1,
-            "the rejected frame's entries must survive for replay"
-        );
-        assert_eq!(client.consecutive_failures(), 1);
-        // Free the slot; the replayed flush lands once the server has
-        // reaped the closed connection. Poll against a generous deadline
-        // rather than a fixed retry count: how long the reap takes is a
-        // scheduling question, and a loaded machine must simply wait
-        // longer instead of flaking.
-        drop(holder);
-        let mut results = None;
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while std::time::Instant::now() < deadline {
-            match client.flush_predicts().unwrap() {
-                BatchFlush::Done(r) => {
-                    results = Some(r);
-                    break;
-                }
-                BatchFlush::Backpressure => std::thread::sleep(Duration::from_millis(2)),
-            }
-        }
-        let results = results.expect("server never freed the connection slot");
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].1.status, 200);
-        server.shutdown();
+        let (clean, clean_served) = drive(false);
+        assert!(clean.iter().all(Option::is_some));
+        assert_eq!(drive(true), (clean, clean_served));
     }
 
     #[test]

@@ -233,7 +233,7 @@ pub fn write_response<W: Write>(writer: &mut W, resp: &Response) -> io::Result<(
 
 /// [`write_response`] through a reusable serialization buffer: the whole
 /// response (status line, headers, body) is assembled in
-/// [`IoScratch::response`] and leaves in a single `write_all`. The
+/// an [`IoScratch`] buffer and leaves in a single `write_all`. The
 /// server workers' variant — fewer writes, no per-response allocation.
 pub fn write_response_buffered<W: Write>(
     writer: &mut W,

@@ -71,9 +71,7 @@ pub mod transport;
 pub use admission::{
     AdmissionConfig, AdmissionController, AdmissionLevel, AdmissionSnapshot, FallbackTracker,
 };
-pub use client::{
-    BatchFlush, BreakerConfig, BreakerState, HttpClient, RemotePredictor, RetryPolicy, Sleeper,
-};
+pub use client::{BreakerConfig, BreakerState, HttpClient, RemotePredictor, RetryPolicy, Sleeper};
 pub use dash::{
     play_remote_session, AbrKind, DashPlayer, LocalModelPredictor, Manifest, PlayerConfig,
 };

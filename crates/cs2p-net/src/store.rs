@@ -45,7 +45,7 @@ pub struct StorePressure {
     /// Live entries as a fraction of total capacity, in `[0, 1]`.
     pub occupancy: f64,
     /// Evictions per store access (logical tick) over the last completed
-    /// telemetry window of [`PRESSURE_WINDOW_TICKS`] accesses; `0.0`
+    /// telemetry window of `PRESSURE_WINDOW_TICKS` accesses; `0.0`
     /// until the first window completes.
     pub eviction_rate: f64,
 }

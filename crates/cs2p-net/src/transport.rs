@@ -9,10 +9,10 @@
 //! testkit's `FaultyStream` injects resets, truncation, corruption, and
 //! byte-dribbling this way without a single special case in the serving
 //! hot path. When no wrapper is installed the I/O paths stay statically
-//! dispatched on `TcpStream` ([`IoHalf::Plain`]); the `dyn` indirection
+//! dispatched on `TcpStream` (`IoHalf::Plain`); the `dyn` indirection
 //! exists only on hooked connections.
 //!
-//! [`DeadlineReader`] implements the server's **slow-peer deadline**: a
+//! `DeadlineReader` implements the server's **slow-peer deadline**: a
 //! budget on how long one request may take to arrive once its first byte
 //! has been read, distinct from the idle keep-alive timeout (idle
 //! connections park in the poller without arming anything) and from the

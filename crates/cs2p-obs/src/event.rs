@@ -1,7 +1,8 @@
 //! Structured telemetry records.
 //!
-//! Everything a sink sees is a [`Record`]: a point-in-time [`Event`], a
-//! completed span with its duration, or a metric snapshot row. Records
+//! Everything a sink sees is a [`Record`]: a point-in-time
+//! [`Event`](RecordKind::Event), a completed span with its duration, or a
+//! metric snapshot row. Records
 //! serialize to single-line JSON objects (the JSONL schema documented in
 //! `OBSERVABILITY.md` at the repository root).
 

@@ -10,7 +10,7 @@
 //! - **Metrics** ([`counter_add`], [`gauge_set`], [`observe`]):
 //!   counters, gauges, and log-bucketed histograms with mergeable
 //!   snapshots ([`metrics::MetricsSnapshot`]).
-//! - **Events** ([`event`]): structured, leveled records with typed
+//! - **Events** ([`event()`]): structured, leveled records with typed
 //!   fields.
 //! - **Sinks** ([`sink`]): in-memory (tests), JSONL (machines), pretty
 //!   stderr (humans); all pluggable on the thread-safe global
