@@ -5,7 +5,8 @@
 //! 3. HMM state count;
 //! 4. per-session calibration on/off;
 //! 5. Gaussian vs log-normal emissions;
-//! 6. MPC horizon.
+//! 6. MPC horizon;
+//! 7. exact MPC enumeration vs the FastMPC table lookup (§5.3).
 //!
 //! Each prints its comparison once; Criterion times the headline variant.
 
@@ -204,10 +205,42 @@ fn ablation_mpc_horizon(c: &mut Criterion) {
     g.finish();
 }
 
+/// Exact horizon enumeration vs the precomputed FastMPC table on one
+/// decision — the one §5.3 figure `perf/` does not time.
+fn ablation_fast_mpc(c: &mut Criterion) {
+    use cs2p_abr::{AbrAlgorithm, AbrContext, FastMpc, FastMpcConfig, Mpc, VideoSpec};
+
+    let video = VideoSpec::envivio();
+    let mut fast = FastMpc::precompute(&video, FastMpcConfig::default());
+    println!(
+        "[ablation] FastMPC table: {} entries ({} bytes)",
+        fast.table_len(),
+        fast.table_bytes()
+    );
+
+    let predictions = vec![Some(2.3); 5];
+    let ctx = AbrContext {
+        chunk_index: 10,
+        buffer_seconds: 13.7,
+        last_level: Some(2),
+        predictions_mbps: &predictions,
+        last_actual_mbps: Some(2.1),
+        video: &video,
+    };
+    let mut exact = Mpc::default();
+    c.bench_function("mpc_exact_decision", |b| {
+        b.iter(|| black_box(exact.select_level(&ctx)))
+    });
+    c.bench_function("fast_mpc_table_lookup", |b| {
+        b.iter(|| black_box(fast.select_level(&ctx)))
+    });
+}
+
 criterion_group!(
     ablations,
     ablation_clustering_and_calibration,
     ablation_state_count_and_emissions,
-    ablation_mpc_horizon
+    ablation_mpc_horizon,
+    ablation_fast_mpc
 );
 criterion_main!(ablations);

@@ -5,10 +5,10 @@
 //!           [--metrics out.jsonl] [--profile]
 //! cs2p-eval all          # run everything
 //! cs2p-eval --small --metrics out.jsonl   # default smoke set + telemetry
-//! cs2p-eval serve-bench  [--batch] [--metrics out.jsonl]  # serving throughput table
+//! cs2p-eval serve-bench  [--metrics out.jsonl]   # serving telemetry capture
 //! cs2p-eval chaos-bench  [--metrics out.jsonl]   # fault recovery table
 //! cs2p-eval refresh-bench [--metrics out.jsonl]  # stale vs refreshed model table
-//! cs2p-eval persist-bench [--metrics out.jsonl]  # in-memory vs durable table
+//! cs2p-eval persist-bench [--metrics out.jsonl]  # durable-server telemetry capture
 //! cs2p-eval degradation-bench [--metrics out.jsonl]  # ladder vs pure-503 QoE table
 //! cs2p-eval validate-metrics a.jsonl [b.jsonl] [--require stage,stage]
 //! cs2p-eval trace-report <metrics.jsonl>  # per-trace waterfalls
@@ -18,14 +18,16 @@
 //! record to the given JSONL file (schema in `OBSERVABILITY.md`), closing
 //! with a full metric snapshot. `--profile` prints a per-stage wall-time
 //! table built from the span histograms. `serve-bench` skips material
-//! preparation and benchmarks the prediction server plus its overload
-//! backpressure. `chaos-bench` likewise skips material
+//! preparation and drives the prediction server with the deterministic
+//! load generator (singleton and batched phases) for the sake of the
+//! `--metrics` capture; it prints accounting and times nothing — serving
+//! performance is `perf/`'s job. `chaos-bench` likewise skips material
 //! preparation and reports recovery latency/success per injected fault
 //! class (see TESTING.md). `refresh-bench` generates its own drifting
 //! world and compares a stale launch model against the daily warm-start
-//! refresh pipeline (see DESIGN.md §3c). `persist-bench` compares the
-//! in-memory server against the durable one (WAL commit per record) and
-//! enforces the WAL-overhead gate (see DESIGN.md §3f). `degradation-bench`
+//! refresh pipeline (see DESIGN.md §3c). `persist-bench` is the same capture
+//! against the durable server at both commit cadences, with the WAL's
+//! record/byte/commit accounting (see DESIGN.md §3f). `degradation-bench`
 //! forces the admission ladder's overload levels and certifies that the
 //! Fallback brownout strictly beats pure-503 shedding on simulated QoE,
 //! and that Fallback answers equal the paper's harmonic-mean baseline
@@ -61,7 +63,7 @@ fn usage() -> ExitCode {
         "usage: cs2p-eval [experiment|all] [--sessions N] [--seed S] [--small] \
          [--metrics out.jsonl] [--profile]"
     );
-    eprintln!("       cs2p-eval serve-bench [--batch] [--metrics out.jsonl]");
+    eprintln!("       cs2p-eval serve-bench [--metrics out.jsonl]");
     eprintln!("       cs2p-eval chaos-bench [--metrics out.jsonl]");
     eprintln!("       cs2p-eval refresh-bench [--metrics out.jsonl]");
     eprintln!("       cs2p-eval persist-bench [--metrics out.jsonl]");
@@ -101,7 +103,6 @@ fn main() -> ExitCode {
     let mut explicit_seed = None;
     let mut metrics_path: Option<String> = None;
     let mut profile = false;
-    let mut batch = false;
     let mut positional: Vec<String> = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -120,12 +121,6 @@ fn main() -> ExitCode {
                 None => return usage(),
             },
             "--profile" => profile = true,
-            "--batch" => batch = true,
-            "--serve-bench" => positional.push("serve-bench".into()),
-            "--chaos-bench" => positional.push("chaos-bench".into()),
-            "--refresh-bench" => positional.push("refresh-bench".into()),
-            "--persist-bench" => positional.push("persist-bench".into()),
-            "--degradation-bench" => positional.push("degradation-bench".into()),
             flag if flag.starts_with("--") => return usage(),
             _ => positional.push(arg.clone()),
         }
@@ -134,24 +129,20 @@ fn main() -> ExitCode {
         config.seed = seed;
     }
 
-    let serve_bench_only = positional.as_slice() == ["serve-bench"];
-    // `--batch` only modifies serve-bench.
-    if batch && !serve_bench_only {
-        return usage();
-    }
-    let chaos_bench_only = positional.as_slice() == ["chaos-bench"];
-    let refresh_bench_only = positional.as_slice() == ["refresh-bench"];
-    let persist_bench_only = positional.as_slice() == ["persist-bench"];
-    let degradation_bench_only = positional.as_slice() == ["degradation-bench"];
+    // The bench family needs no paper materials: it runs alone and exits.
+    let bench: Option<fn() -> String> = match positional.as_slice() {
+        [one] => match one.as_str() {
+            "serve-bench" => Some(serve_bench::serve_bench),
+            "chaos-bench" => Some(chaos_bench::chaos_bench),
+            "refresh-bench" => Some(refresh_bench::refresh_bench),
+            "persist-bench" => Some(persist_bench::persist_bench),
+            "degradation-bench" => Some(degradation_bench::degradation_bench),
+            _ => None,
+        },
+        _ => None,
+    };
     let ids: Vec<&str> = match positional.as_slice() {
-        _ if serve_bench_only
-            || chaos_bench_only
-            || refresh_bench_only
-            || persist_bench_only
-            || degradation_bench_only =>
-        {
-            Vec::new()
-        }
+        _ if bench.is_some() => Vec::new(),
         [] if metrics_path.is_some() || profile => DEFAULT_SET.to_vec(),
         [] => return usage(),
         [one] if one == "all" => EXPERIMENTS.to_vec(),
@@ -173,28 +164,10 @@ fn main() -> ExitCode {
         }
     }
 
-    // The bench family (serve/chaos/refresh/persist/degradation) needs
-    // no paper materials: bench and exit.
-    if serve_bench_only
-        || chaos_bench_only
-        || refresh_bench_only
-        || persist_bench_only
-        || degradation_bench_only
-    {
+    if let Some(run) = bench {
+        let name = &positional[0];
         let start = std::time::Instant::now();
-        let (name, table) = if serve_bench_only && batch {
-            ("serve-bench --batch", serve_bench::serve_bench_batch())
-        } else if serve_bench_only {
-            ("serve-bench", serve_bench::serve_bench())
-        } else if chaos_bench_only {
-            ("chaos-bench", chaos_bench::chaos_bench())
-        } else if persist_bench_only {
-            ("persist-bench", persist_bench::persist_bench())
-        } else if degradation_bench_only {
-            ("degradation-bench", degradation_bench::degradation_bench())
-        } else {
-            ("refresh-bench", refresh_bench::refresh_bench())
-        };
+        let table = run();
         print!("{table}");
         eprintln!("[{name} took {:.1}s]", start.elapsed().as_secs_f64());
         if metrics_path.is_some() {

@@ -33,11 +33,10 @@ use cs2p_net::{
     serve_with, AdmissionLevel, BreakerConfig, HttpClient, RemotePredictor, ServeConfig, ServeStats,
 };
 use cs2p_obs::ManualClock;
+use cs2p_testkit::scenarios::tiny_engine;
 use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::sync::Arc;
-
-use super::serve_bench::bench_engine;
 
 const EPOCH_SECONDS: f64 = 6.0;
 
@@ -149,7 +148,7 @@ struct ArmRow {
 /// session per trace, and returns the per-session rows plus the
 /// server's final ledger.
 fn run_arm(level: AdmissionLevel, traces: &[Vec<f64>], sid_base: u64) -> (Vec<ArmRow>, ServeStats) {
-    let server = serve_with(bench_engine(), "127.0.0.1:0", ServeConfig::default())
+    let server = serve_with(tiny_engine(), "127.0.0.1:0", ServeConfig::default())
         .expect("bind degradation-bench server");
     server.force_admission_level(Some(level));
     let qoe = QoeParams::default();
@@ -259,7 +258,7 @@ fn qoe_arms(out: &mut String) {
 /// answer is compared bit-for-bit against the paper's harmonic-mean
 /// baseline fed the same observations in the same order.
 fn ladder_walk(out: &mut String) {
-    let server = serve_with(bench_engine(), "127.0.0.1:0", ServeConfig::default())
+    let server = serve_with(tiny_engine(), "127.0.0.1:0", ServeConfig::default())
         .expect("bind ladder-walk server");
 
     // Full: register (the initial prediction comes from the cluster
