@@ -49,7 +49,7 @@ fn bench_server() -> ServerHandle {
         n_workers: 2,
         // Short reaping window so truncated frames do not dominate the
         // table with the production 10 s timeout.
-        read_timeout: Duration::from_millis(100),
+        io_timeout: Duration::from_millis(100),
         ..ServeConfig::default()
     };
     serve_with(tiny_engine(), "127.0.0.1:0", config).unwrap()

@@ -1,8 +1,9 @@
 //! The `--metrics` captures CI gates on, checked offline: `serve-bench`
 //! twice and `persist-bench` once through the built binary, then the same
 //! schema, two-run determinism, tracing and vocabulary checks the
-//! workflow runs as shell greps. A load phase that stops producing a
-//! record family fails here, not on the next CI run.
+//! workflow runs as shell greps; and `chaos-bench` once for the fault
+//! telemetry schema. A load phase that stops producing a record family
+//! fails here, not on the next CI run.
 
 use cs2p_testkit::crash::TempDir;
 use std::path::Path;
@@ -98,4 +99,27 @@ fn serve_and_persist_captures_pass_the_ci_gates() {
             "serve.persist.recovered",
         ],
     );
+}
+
+#[test]
+fn chaos_capture_carries_fault_and_retry_telemetry() {
+    let dir = TempDir::new("chaos-capture");
+    let dir = dir.path();
+    eval(dir, &["chaos-bench", "--metrics", "chaos.jsonl"]);
+    eval(
+        dir,
+        &[
+            "validate-metrics",
+            "chaos.jsonl",
+            "--require",
+            "serve,client,net",
+        ],
+    );
+    let chaos = std::fs::read_to_string(dir.join("chaos.jsonl")).expect("read chaos capture");
+    for family in ["serve.fault.", "client.retry."] {
+        assert!(
+            chaos.contains(&format!("\"name\":\"{family}")),
+            "capture has no {family}* record"
+        );
+    }
 }

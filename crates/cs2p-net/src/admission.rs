@@ -24,9 +24,8 @@
 //! Escalation is immediate — a saturated queue must brown out *now* —
 //! but recovery is hysteretic: the controller steps down one level at a
 //! time, and only after pressure has stayed below the current level's
-//! threshold minus [`AdmissionConfig::recover_margin`] for a full
-//! [`AdmissionConfig::hold_us`] dwell, so levels cannot flap around a
-//! watermark.
+//! threshold minus a recovery margin for a full dwell, so levels cannot
+//! flap around a watermark. The watermarks are the constants below.
 //!
 //! The ladder is **opt-in**: `AdmissionConfig::default()` is disabled
 //! and the server behaves exactly as before (queue-full connections are
@@ -91,77 +90,54 @@ impl std::fmt::Display for AdmissionLevel {
     }
 }
 
-/// Watermarks and hysteresis knobs for the [`AdmissionController`].
+/// Pressure at or above which service degrades to cluster priors.
+const DEGRADED_AT: f64 = 0.70;
+/// Pressure at or above which service falls back to harmonic mean.
+const FALLBACK_AT: f64 = 0.85;
+/// Pressure at or above which requests are shed with 503.
+const SHED_AT: f64 = 0.95;
+/// Recovery hysteresis: to step down a level, pressure must sit below
+/// the current level's threshold minus this margin.
+const RECOVER_MARGIN: f64 = 0.15;
+/// Recovery dwell (µs on the injectable clock): pressure must stay
+/// continuously below the recovery watermark this long before each
+/// single-level step down.
+const HOLD_US: u64 = 200_000;
+/// Denominator for the latency signal: an EWMA of request-handling
+/// latency equal to the budget contributes pressure 1.0.
+const LATENCY_BUDGET_US: u64 = 250_000;
+/// EWMA smoothing factor for the latency signal.
+const LATENCY_ALPHA: f64 = 0.2;
+/// Per-session history window for the Fallback side table. Bounded so
+/// Fallback memory is O(sessions × window) regardless of session length;
+/// within the window, Fallback reproduces the paper's harmonic-mean
+/// baseline exactly.
+const FALLBACK_WINDOW: usize = 64;
+/// Hard cap on tracked sessions in the Fallback side table. A session
+/// arriving past the cap is answered from its own in-flight measurement
+/// only (deterministic: nothing is evicted).
+const FALLBACK_MAX_SESSIONS: usize = 65_536;
+
+/// Switch for the [`AdmissionController`]'s watermarks.
 ///
-/// Pressure is `max(queue_frac, latency_ewma / latency_budget_us)`;
-/// the three `*_at` thresholds partition it into the four levels. The
-/// defaults are disabled: the ladder is a deliberate operational
-/// opt-in, because it changes the contract of a 503 (from "the server
-/// refused" to "the server answered with a cheaper predictor").
-#[derive(Debug, Clone)]
+/// Pressure is `max(queue_frac, latency_ewma / LATENCY_BUDGET_US)`; the
+/// three `*_AT` thresholds partition it into the four levels. The
+/// default is disabled: the ladder is a deliberate operational opt-in,
+/// because it changes the contract of a 503 (from "the server refused"
+/// to "the server answered with a cheaper predictor").
+#[derive(Debug, Clone, Default)]
 pub struct AdmissionConfig {
     /// Master switch. When false the controller always reports
     /// [`AdmissionLevel::Full`] (unless a level is forced) and samples
     /// cost nothing but an atomic load.
     pub enabled: bool,
-    /// Pressure at or above which service degrades to cluster priors.
-    pub degraded_at: f64,
-    /// Pressure at or above which service falls back to harmonic mean.
-    pub fallback_at: f64,
-    /// Pressure at or above which requests are shed with 503.
-    pub shed_at: f64,
-    /// Recovery hysteresis: to step down a level, pressure must sit
-    /// below the current level's threshold minus this margin.
-    pub recover_margin: f64,
-    /// Recovery dwell (µs on the injectable clock): pressure must stay
-    /// continuously below the recovery watermark this long before each
-    /// single-level step down.
-    pub hold_us: u64,
-    /// Denominator for the latency signal: an EWMA of request-handling
-    /// latency equal to the budget contributes pressure 1.0.
-    pub latency_budget_us: u64,
-    /// EWMA smoothing factor for the latency signal, in `(0, 1]`.
-    pub latency_alpha: f64,
-    /// Pin the ladder to one level, bypassing the watermarks entirely
-    /// (deterministic overload forcing in tests and benches).
-    pub force_level: Option<AdmissionLevel>,
-    /// Per-session history window for the Fallback side table. Bounded
-    /// so Fallback memory is O(sessions × window) regardless of session
-    /// length; within the window, Fallback reproduces the paper's
-    /// harmonic-mean baseline exactly.
-    pub fallback_window: usize,
-    /// Hard cap on tracked sessions in the Fallback side table. A
-    /// session arriving past the cap is answered from its own in-flight
-    /// measurement only (deterministic: nothing is evicted).
-    pub fallback_max_sessions: usize,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig {
-            enabled: false,
-            degraded_at: 0.70,
-            fallback_at: 0.85,
-            shed_at: 0.95,
-            recover_margin: 0.15,
-            hold_us: 200_000,
-            latency_budget_us: 250_000,
-            latency_alpha: 0.2,
-            force_level: None,
-            fallback_window: 64,
-            fallback_max_sessions: 65_536,
-        }
-    }
 }
 
 impl AdmissionConfig {
     /// An enabled configuration with the default watermarks — what a
     /// production deployment would run.
     pub fn watermarks() -> Self {
-        AdmissionConfig {
-            enabled: true,
-            ..AdmissionConfig::default()
-        }
+        AdmissionConfig { enabled: true }
     }
 }
 
@@ -230,13 +206,12 @@ impl std::fmt::Debug for AdmissionController {
 impl AdmissionController {
     /// Creates a controller on the server's injectable clock.
     pub fn new(config: AdmissionConfig, clock: Arc<dyn Clock>) -> Self {
-        let fallback = FallbackTracker::new(config.fallback_window, config.fallback_max_sessions);
-        let forced = config.force_level.map_or(0, |l| l as u8 + 1);
+        let fallback = FallbackTracker::new(FALLBACK_WINDOW, FALLBACK_MAX_SESSIONS);
         AdmissionController {
             config,
             clock,
             level: AtomicU8::new(AdmissionLevel::Full as u8),
-            forced: AtomicU8::new(forced),
+            forced: AtomicU8::new(0),
             transitions: AtomicU64::new(0),
             served_full: AtomicU64::new(0),
             served_degraded: AtomicU64::new(0),
@@ -306,9 +281,9 @@ impl AdmissionController {
         if !self.config.enabled {
             return;
         }
-        let a = self.config.latency_alpha.clamp(0.0, 1.0);
         let mut sig = self.signals.lock();
-        sig.latency_ewma_us = a * us as f64 + (1.0 - a) * sig.latency_ewma_us;
+        sig.latency_ewma_us =
+            LATENCY_ALPHA * us as f64 + (1.0 - LATENCY_ALPHA) * sig.latency_ewma_us;
         self.reevaluate(&mut sig);
     }
 
@@ -371,11 +346,7 @@ impl AdmissionController {
     }
 
     fn pressure_of(&self, sig: &Signals) -> f64 {
-        let latency = if self.config.latency_budget_us == 0 {
-            0.0
-        } else {
-            sig.latency_ewma_us / self.config.latency_budget_us as f64
-        };
+        let latency = sig.latency_ewma_us / LATENCY_BUDGET_US as f64;
         sig.queue_frac.max(latency)
     }
 
@@ -383,18 +354,18 @@ impl AdmissionController {
     fn threshold_of(&self, level: AdmissionLevel) -> f64 {
         match level {
             AdmissionLevel::Full => 0.0,
-            AdmissionLevel::Degraded => self.config.degraded_at,
-            AdmissionLevel::Fallback => self.config.fallback_at,
-            AdmissionLevel::Shed => self.config.shed_at,
+            AdmissionLevel::Degraded => DEGRADED_AT,
+            AdmissionLevel::Fallback => FALLBACK_AT,
+            AdmissionLevel::Shed => SHED_AT,
         }
     }
 
     fn target_level(&self, pressure: f64) -> AdmissionLevel {
-        if pressure >= self.config.shed_at {
+        if pressure >= SHED_AT {
             AdmissionLevel::Shed
-        } else if pressure >= self.config.fallback_at {
+        } else if pressure >= FALLBACK_AT {
             AdmissionLevel::Fallback
-        } else if pressure >= self.config.degraded_at {
+        } else if pressure >= DEGRADED_AT {
             AdmissionLevel::Degraded
         } else {
             AdmissionLevel::Full
@@ -421,7 +392,7 @@ impl AdmissionController {
             sig.below_since_us = None;
             return;
         }
-        let recover_below = (self.threshold_of(current) - self.config.recover_margin).max(0.0);
+        let recover_below = (self.threshold_of(current) - RECOVER_MARGIN).max(0.0);
         if pressure >= recover_below {
             sig.below_since_us = None;
             return;
@@ -429,7 +400,7 @@ impl AdmissionController {
         let now = self.clock.now_micros();
         match sig.below_since_us {
             None => sig.below_since_us = Some(now),
-            Some(since) if now.saturating_sub(since) >= self.config.hold_us => {
+            Some(since) if now.saturating_sub(since) >= HOLD_US => {
                 let next = AdmissionLevel::from_u8(current as u8 - 1);
                 self.level.store(next as u8, Ordering::Release);
                 self.note_transition(next);
@@ -542,16 +513,11 @@ mod tests {
     use super::*;
     use cs2p_obs::ManualClock;
 
-    fn enabled_config() -> AdmissionConfig {
-        AdmissionConfig {
-            enabled: true,
-            hold_us: 1_000,
-            ..AdmissionConfig::default()
-        }
-    }
-
     fn controller(clock: &Arc<ManualClock>) -> AdmissionController {
-        AdmissionController::new(enabled_config(), Arc::clone(clock) as Arc<dyn Clock>)
+        AdmissionController::new(
+            AdmissionConfig::watermarks(),
+            Arc::clone(clock) as Arc<dyn Clock>,
+        )
     }
 
     #[test]
@@ -586,17 +552,17 @@ mod tests {
         // Pressure drops, but the dwell has not elapsed: no recovery.
         c.note_queue(0, 100);
         assert_eq!(c.level(), AdmissionLevel::Shed);
-        clock.advance(999);
+        clock.advance(HOLD_US - 1);
         c.note_queue(0, 100);
         assert_eq!(c.level(), AdmissionLevel::Shed);
         // Dwell complete: exactly one step down per completed dwell.
         clock.advance(1);
         c.note_queue(0, 100);
         assert_eq!(c.level(), AdmissionLevel::Fallback);
-        clock.advance(1_000);
+        clock.advance(HOLD_US);
         c.note_queue(0, 100);
         assert_eq!(c.level(), AdmissionLevel::Degraded);
-        clock.advance(1_000);
+        clock.advance(HOLD_US);
         c.note_queue(0, 100);
         assert_eq!(c.level(), AdmissionLevel::Full);
     }
@@ -608,14 +574,14 @@ mod tests {
         c.note_queue(90, 100);
         assert_eq!(c.level(), AdmissionLevel::Fallback);
         c.note_queue(0, 100);
-        clock.advance(900);
+        clock.advance(HOLD_US * 9 / 10);
         // A flap back above the recovery watermark clears the dwell…
         c.note_queue(80, 100);
-        clock.advance(200);
-        // …so 1100 µs after the first low sample the level still holds.
+        clock.advance(HOLD_US / 5);
+        // …so 1.1 dwells after the first low sample the level still holds.
         c.note_queue(0, 100);
         assert_eq!(c.level(), AdmissionLevel::Fallback);
-        clock.advance(1_000);
+        clock.advance(HOLD_US);
         c.note_queue(0, 100);
         assert_eq!(c.level(), AdmissionLevel::Degraded);
     }
@@ -623,18 +589,17 @@ mod tests {
     #[test]
     fn latency_ewma_is_a_second_pressure_source() {
         let clock = Arc::new(ManualClock::new());
-        let c = AdmissionController::new(
-            AdmissionConfig {
-                enabled: true,
-                latency_budget_us: 1_000,
-                latency_alpha: 1.0,
-                ..AdmissionConfig::default()
-            },
-            clock,
-        );
-        c.note_latency(500);
+        let c = controller(&clock);
+        for _ in 0..50 {
+            c.note_latency(LATENCY_BUDGET_US / 2);
+        }
         assert_eq!(c.level(), AdmissionLevel::Full);
-        c.note_latency(960);
+        // One slow request moves the EWMA a fifth of the way: 0.5 -> 0.8.
+        c.note_latency(2 * LATENCY_BUDGET_US);
+        assert_eq!(c.level(), AdmissionLevel::Degraded);
+        for _ in 0..10 {
+            c.note_latency(2 * LATENCY_BUDGET_US);
+        }
         assert_eq!(c.level(), AdmissionLevel::Shed);
     }
 

@@ -995,7 +995,6 @@ mod tests {
         use parking_lot::Mutex;
         let config = ServeConfig {
             max_connections: 1,
-            retry_after_seconds: 2,
             ..ServeConfig::default()
         };
         let server = serve_with(tiny_engine(), "127.0.0.1:0", config).unwrap();
@@ -1012,13 +1011,13 @@ mod tests {
         assert_eq!(resp.status, 503);
         assert_eq!(
             client.retry_after_hint_secs(),
-            Some(2),
+            Some(1),
             "the 503's Retry-After header must be captured"
         );
         client.note_backpressure();
         assert_eq!(
             delays.lock().as_slice(),
-            &[Duration::from_secs(2)],
+            &[Duration::from_secs(1)],
             "the server's hint floors the policy's own (millisecond) delay"
         );
         // A later non-503 success clears the hint: the next delay is the

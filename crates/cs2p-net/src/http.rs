@@ -19,6 +19,8 @@ pub const MAX_HEADER_BYTES: usize = 16 * 1024;
 pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 /// Maximum number of headers.
 pub const MAX_HEADERS: usize = 64;
+/// `Retry-After` value on every 503, whichever path sheds the request.
+const RETRY_AFTER_SECONDS: u64 = 1;
 
 /// An HTTP request.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,10 +98,10 @@ impl Response {
     /// come back, `Connection: close` tells it this connection is done
     /// (the server writes this *without* reading the request, so the
     /// connection cannot be safely reused).
-    pub fn service_unavailable(retry_after_seconds: u64) -> Self {
+    pub fn service_unavailable() -> Self {
         let mut r = Response::error(503, "server overloaded, retry later");
         r.headers
-            .push(("retry-after".into(), retry_after_seconds.to_string()));
+            .push(("retry-after".into(), RETRY_AFTER_SECONDS.to_string()));
         r.headers.push(("connection".into(), "close".into()));
         r
     }
@@ -135,7 +137,8 @@ fn bad(msg: &str) -> io::Error {
 /// whole-response serialization buffer so each response leaves in a
 /// single `write_all`. Both keep their high-water capacity across
 /// requests, so a worker's steady-state turn does no framing allocation
-/// (the `batch_throughput` bench carries the before/after numbers).
+/// (`perf/`'s `http.read_request_ns` / `http.write_response_ns` rows time
+/// both paths).
 #[derive(Debug, Default)]
 pub struct IoScratch {
     line: Vec<u8>,
@@ -469,11 +472,11 @@ mod tests {
 
     #[test]
     fn service_unavailable_carries_backpressure_headers() {
-        let resp = Response::service_unavailable(2);
+        let resp = Response::service_unavailable();
         assert_eq!(resp.status, 503);
-        assert_eq!(resp.header("retry-after"), Some("2"));
+        assert_eq!(resp.header("retry-after"), Some("1"));
         assert_eq!(resp.header("connection"), Some("close"));
         let back = roundtrip_response(&resp);
-        assert_eq!(back.header("retry-after"), Some("2"));
+        assert_eq!(back.header("retry-after"), Some("1"));
     }
 }

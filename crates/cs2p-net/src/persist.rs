@@ -19,7 +19,8 @@
 //!   or a removal (eviction / `/log` retirement). Payloads use a
 //!   hand-rolled little-endian binary layout — encoding happens on the
 //!   request path under the shard lock, where JSON through the Value
-//!   tree costs real serving throughput (see `persist-bench`).
+//!   tree costs real serving throughput (`perf/`'s
+//!   `persist.encode_record_ns` row times the encoder).
 //! - **Snapshot compaction**: every
 //!   [`PersistConfig::snapshot_every_records`] records the WAL rotates to
 //!   a new generation, the sharded store is captured into `store.snap`,

@@ -51,8 +51,9 @@ pub struct QualityConfig {
     /// Minimum time between alarms, measured on the injectable clock.
     pub cooldown: Duration,
     /// When set, an alarm asks the server to refresh its models from
-    /// the recorded-session window (same path as the background
-    /// refresher; a no-op if too few sessions are recorded).
+    /// the recorded-session window (same path as
+    /// `ServerHandle::refresh_models`; a no-op if too few sessions are
+    /// recorded).
     pub trigger_refresh: bool,
 }
 

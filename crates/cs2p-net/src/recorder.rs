@@ -19,6 +19,10 @@ use cs2p_core::{Dataset, FeatureSchema, FeatureVector, Session};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 
+/// `min_epochs` of the server's recorder: one epoch carries no
+/// transition for EM.
+pub(crate) const SERVER_MIN_EPOCHS: usize = 2;
+
 struct Inner {
     sessions: VecDeque<Session>,
     /// Next synthetic session id (also drives the synthetic start time).

@@ -9,7 +9,7 @@ use crate::protocol::{
     Health, LogStats, PredictRequest, PredictResponse, SessionLog, MAX_BATCH_ENTRIES,
 };
 use crate::quality::{ape, QualityMonitor};
-use crate::recorder::SessionRecorder;
+use crate::recorder::{SessionRecorder, SERVER_MIN_EPOCHS};
 use crate::store::{SessionStore, ShardGuard};
 use cs2p_core::engine::{ClusterModel, TrainSummary};
 use cs2p_core::{
@@ -129,7 +129,7 @@ impl AppState {
             engine.schema().clone(),
             RECORD_EPOCH_SECONDS,
             config.refresh.recorder_capacity,
-            config.refresh.recorder_min_epochs,
+            SERVER_MIN_EPOCHS,
         ));
         let monitor = Arc::new(QualityMonitor::new(
             config.quality.clone(),
@@ -414,32 +414,32 @@ impl AppState {
         // request's features, or tell the client to re-register. New
         // sessions pin the registry's current snapshot; the version
         // is fixed for the session's whole lifetime.
-        let registered = shard.get_mut(preq.session_id).is_none();
-        if registered {
-            let Some(features) = &preq.features else {
-                return Err((404, "unknown session: send features to (re)register"));
-            };
-            let (version, engine) = self.registry.current();
-            if features.len() != engine.schema().len() {
-                return Err((400, "feature width mismatch"));
-            }
-            let fv = FeatureVector(features.clone());
-            let lookup = engine.lookup_detailed(&fv);
-            let durable = PersistedSession {
-                version: version.0,
-                model: lookup.model_index,
-                cluster_hit: lookup.provenance.is_cluster_hit(),
-                filter: FilterState::new(&lookup.model.hmm),
-                features: fv.0,
-                observed: Vec::new(),
-                pending: None,
-            };
-            shard.insert(preq.session_id, SessionState { engine, durable });
-        }
         let tick = shard.now();
-        let state = shard
-            .get_mut(preq.session_id)
-            .expect("present or just registered");
+        let (state, registered) = match shard.get_mut(preq.session_id) {
+            Some(state) => (state, false),
+            None => {
+                let Some(features) = &preq.features else {
+                    return Err((404, "unknown session: send features to (re)register"));
+                };
+                let (version, engine) = self.registry.current();
+                if features.len() != engine.schema().len() {
+                    return Err((400, "feature width mismatch"));
+                }
+                let fv = FeatureVector(features.clone());
+                let lookup = engine.lookup_detailed(&fv);
+                let durable = PersistedSession {
+                    version: version.0,
+                    model: lookup.model_index,
+                    cluster_hit: lookup.provenance.is_cluster_hit(),
+                    filter: FilterState::new(&lookup.model.hmm),
+                    features: fv.0,
+                    observed: Vec::new(),
+                    pending: None,
+                };
+                let state = shard.insert_mut(preq.session_id, SessionState { engine, durable });
+                (state, true)
+            }
+        };
         // Resolve against the session's pinned snapshot, never the
         // registry's current one: the filter state is only meaningful
         // against the model that produced it.
@@ -674,9 +674,7 @@ impl AppState {
             AdmissionLevel::Shed if outcomes.iter().all(Option::is_some) => 0,
             AdmissionLevel::Shed => {
                 self.admission.note_shed();
-                return Err(Response::service_unavailable(
-                    self.config.retry_after_seconds,
-                ));
+                return Err(Response::service_unavailable());
             }
         };
 
@@ -732,10 +730,12 @@ impl AppState {
             Ok(frame) => frame,
             Err(shed) => return shed,
         };
-        let entry = frame.results.pop().expect("one result per entry");
+        let Some(entry) = frame.results.pop() else {
+            return Response::error(500, "frame of one answered no entry");
+        };
         match (entry.status, entry.response) {
             (_, Some(resp)) => Response::json(resp.to_json_bytes()),
-            (503, None) => Response::service_unavailable(self.config.retry_after_seconds),
+            (503, None) => Response::service_unavailable(),
             (status, None) => Response::error(status, entry.error.as_deref().unwrap_or_default()),
         }
     }

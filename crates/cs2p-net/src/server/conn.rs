@@ -22,6 +22,11 @@ const POLL_INTERVAL: Duration = Duration::from_millis(1);
 /// Requests a worker serves from one connection before re-queueing it,
 /// so a chatty pipelining client cannot starve the queue.
 const MAX_REQUESTS_PER_TURN: u32 = 32;
+/// Slow-peer deadline on [`ServeConfig::clock`]: the time one request may
+/// take to arrive once its first byte is read (see [`DeadlineReader`]).
+/// A violator's connection is cut and `serve.fault.slow_peer_aborts`
+/// bumped.
+const SLOW_PEER_DEADLINE_US: u64 = 30_000_000;
 
 /// Decrements the live-connection count when the connection dies,
 /// whichever thread drops it.
@@ -62,17 +67,14 @@ impl Conn {
         config: &ServeConfig,
     ) -> io::Result<Self> {
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(config.read_timeout))?;
-        stream.set_write_timeout(Some(config.write_timeout))?;
+        stream.set_read_timeout(Some(config.io_timeout))?;
+        stream.set_write_timeout(Some(config.io_timeout))?;
         let (read_half, write_half) =
             IoHalf::pair(&stream, conn_seq, config.transport_wrapper.as_ref())?;
-        let deadline_us = config
-            .slow_peer_deadline
-            .map(|d| d.as_micros().min(u64::MAX as u128) as u64);
         let reader = BufReader::new(DeadlineReader::new(
             read_half,
             Arc::clone(&config.clock),
-            deadline_us,
+            SLOW_PEER_DEADLINE_US,
         ));
         let writer = BufWriter::new(write_half);
         Ok(Conn {
@@ -186,10 +188,7 @@ impl AppState {
         self.serving.rejected.fetch_add(1, Ordering::Relaxed);
         cs2p_obs::counter_add("serve.rejected", 1);
         let _ = conn.set_blocking();
-        let _ = write_response(
-            &mut conn.writer,
-            &Response::service_unavailable(self.config.retry_after_seconds),
-        );
+        let _ = write_response(&mut conn.writer, &Response::service_unavailable());
     }
 }
 
@@ -281,25 +280,6 @@ pub(super) fn run_poller(app: Arc<AppState>) {
                 }
             }
         }
-    }
-}
-
-/// Background model-refresh loop: fires [`AppState::refresh_models`]
-/// whenever `interval` has elapsed on the *injectable* clock (so tests
-/// drive it with a `ManualClock`), checking the clock and the shutdown
-/// flag every [`POLL_INTERVAL`] of real time. Training runs on this
-/// thread, outside every request path — workers keep serving the old
-/// version until the publish swap.
-pub(super) fn run_refresher(app: Arc<AppState>, interval: Duration) {
-    let interval_us = interval.as_micros().min(u64::MAX as u128) as u64;
-    let mut last = app.config.clock.now_micros();
-    while !app.serving.shutdown.load(Ordering::SeqCst) {
-        let now = app.config.clock.now_micros();
-        if now.saturating_sub(last) >= interval_us {
-            last = now;
-            let _ = app.refresh_models();
-        }
-        thread::sleep(POLL_INTERVAL);
     }
 }
 

@@ -1,5 +1,5 @@
 use super::app::{rehydrate_session, AppState, MAX_RECORDED_EPOCHS};
-use super::conn::{run_acceptor, run_poller, run_refresher, run_worker};
+use super::conn::{run_acceptor, run_poller, run_worker};
 use super::ServeConfig;
 use crate::admission::{AdmissionLevel, AdmissionSnapshot};
 use crate::ops::OpsSnapshot;
@@ -49,7 +49,6 @@ pub struct ServerHandle {
     app: Arc<AppState>,
     accept_thread: Option<JoinHandle<()>>,
     poller_thread: Option<JoinHandle<()>>,
-    refresh_thread: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -286,11 +285,6 @@ impl ServerHandle {
         if let Some(t) = self.poller_thread.take() {
             let _ = t.join();
         }
-        // The refresher polls the shutdown flag every POLL_INTERVAL; any
-        // in-progress retrain finishes (bounded) before the join returns.
-        if let Some(t) = self.refresh_thread.take() {
-            let _ = t.join();
-        }
         // Workers drain the queue, then see `None` and exit.
         self.app.serving.queue.close();
         for t in self.workers.drain(..) {
@@ -362,19 +356,12 @@ fn spawn_server(listener: TcpListener, app: AppState) -> io::Result<ServerHandle
     let workers = (0..n_workers)
         .map(|i| spawn(&format!("cs2p-worker-{i}"), &app, run_worker))
         .collect::<io::Result<Vec<_>>>()?;
-    let refresh_thread = match app.config.refresh.interval {
-        Some(every) => Some(spawn("cs2p-refresh", &app, move |app| {
-            run_refresher(app, every)
-        })?),
-        None => None,
-    };
 
     Ok(ServerHandle {
         addr,
         app,
         accept_thread: Some(accept_thread),
         poller_thread: Some(poller_thread),
-        refresh_thread,
         workers,
     })
 }

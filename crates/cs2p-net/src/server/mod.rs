@@ -61,18 +61,11 @@ pub struct RefreshConfig {
     pub train_config: EngineConfig,
     /// Model versions kept fetchable for pinned readers (min 1).
     pub retain: usize,
-    /// Background refresh period, measured on [`ServeConfig::clock`]
-    /// (swap in a `ManualClock` for deterministic tests). `None` disables
-    /// the background trigger; [`ServerHandle::refresh_models`] still
-    /// works.
-    pub interval: Option<Duration>,
     /// A refresh is skipped (no-op) until the recorder holds at least
     /// this many completed sessions.
     pub min_sessions: usize,
     /// Completed-session window size (oldest dropped beyond this).
     pub recorder_capacity: usize,
-    /// Completed sessions with fewer observed epochs are not recorded.
-    pub recorder_min_epochs: usize,
 }
 
 impl Default for RefreshConfig {
@@ -80,10 +73,8 @@ impl Default for RefreshConfig {
         RefreshConfig {
             train_config: EngineConfig::default(),
             retain: 4,
-            interval: None,
             min_sessions: 20,
             recorder_capacity: 10_000,
-            recorder_min_epochs: 2,
         }
     }
 }
@@ -106,26 +97,17 @@ pub struct ServeConfig {
     pub session_ttl_requests: Option<u64>,
     /// Concurrent connection cap; beyond this new connections get 503.
     pub max_connections: usize,
-    /// Per-request socket read timeout.
-    pub read_timeout: Duration,
-    /// Per-response socket write timeout.
-    pub write_timeout: Duration,
-    /// Value of the `Retry-After` header on 503 responses.
-    pub retry_after_seconds: u64,
-    /// Slow-peer deadline: total time one request may take to arrive once
-    /// its first byte has been read (distinct from the idle keep-alive
-    /// wait, which never arms it, and from `read_timeout`, which a
-    /// byte-dribbling peer never trips). A violator's connection is cut
-    /// and `serve.fault.slow_peer_aborts` bumped. `None` disables.
-    pub slow_peer_deadline: Option<Duration>,
-    /// Time source for the slow-peer deadline — swap in a
-    /// [`cs2p_obs::ManualClock`] for deterministic tests.
+    /// Per-connection socket read and write timeout.
+    pub io_timeout: Duration,
+    /// Time source for the fixed 30 s slow-peer deadline (the time one
+    /// request may take to arrive once its first byte is read) — swap in
+    /// a [`cs2p_obs::ManualClock`] for deterministic tests.
     pub clock: Arc<dyn Clock>,
     /// Per-connection transport hook (fault injection, middleboxes).
     /// `None` keeps the statically-dispatched `TcpStream` path.
     pub transport_wrapper: Option<Arc<dyn TransportWrapper>>,
     /// Online model-refresh configuration (registry retention, recorder
-    /// bounds, background trigger).
+    /// bounds).
     pub refresh: RefreshConfig,
     /// Online prediction-quality monitoring (APE sketches, drift alarm;
     /// see [`crate::quality`]). The alarm runs on [`ServeConfig::clock`].
@@ -146,10 +128,7 @@ impl std::fmt::Debug for ServeConfig {
             .field("max_sessions", &self.max_sessions)
             .field("session_ttl_requests", &self.session_ttl_requests)
             .field("max_connections", &self.max_connections)
-            .field("read_timeout", &self.read_timeout)
-            .field("write_timeout", &self.write_timeout)
-            .field("retry_after_seconds", &self.retry_after_seconds)
-            .field("slow_peer_deadline", &self.slow_peer_deadline)
+            .field("io_timeout", &self.io_timeout)
             .field("transport_wrapper", &self.transport_wrapper.is_some())
             .field("refresh", &self.refresh)
             .field("quality", &self.quality)
@@ -171,10 +150,7 @@ impl Default for ServeConfig {
             max_sessions: 100_000,
             session_ttl_requests: None,
             max_connections: 1024,
-            read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
-            retry_after_seconds: 1,
-            slow_peer_deadline: Some(Duration::from_secs(30)),
+            io_timeout: Duration::from_secs(10),
             clock: Arc::new(MonotonicClock::new()),
             transport_wrapper: None,
             refresh: RefreshConfig::default(),
@@ -195,7 +171,6 @@ mod tests {
     use cs2p_testkit::scenarios::tiny_engine;
     use std::io::{BufReader, BufWriter};
     use std::net::{SocketAddr, TcpStream};
-    use std::time::Instant;
 
     fn send(addr: SocketAddr, req: &Request) -> Response {
         let stream = TcpStream::connect(addr).unwrap();
@@ -843,55 +818,6 @@ mod tests {
         assert_eq!(server.stats().recorded_sessions, 2);
         let (version, _) = server.refresh_models().expect("enough sessions recorded");
         assert_eq!(version, ModelVersion(2));
-        server.shutdown();
-    }
-
-    #[test]
-    fn background_refresher_fires_on_the_injectable_clock() {
-        use cs2p_testkit::scenarios::tiny_train_config;
-        let clock = Arc::new(cs2p_obs::ManualClock::new());
-        let config = ServeConfig {
-            clock: Arc::clone(&clock) as Arc<dyn Clock>,
-            refresh: RefreshConfig {
-                train_config: tiny_train_config(),
-                interval: Some(Duration::from_secs(60)),
-                min_sessions: 2,
-                ..RefreshConfig::default()
-            },
-            ..ServeConfig::default()
-        };
-        let server = serve_with(tiny_engine(), "127.0.0.1:0", config).unwrap();
-        let addr = server.addr();
-        for sid in [20u64, 21] {
-            let isp = (sid % 2) as u32;
-            let mbps = if isp == 0 { 1.0 } else { 5.0 };
-            for epoch in 0..5 {
-                predict(
-                    addr,
-                    &PredictRequest {
-                        session_id: sid,
-                        features: (epoch == 0).then(|| vec![isp]),
-                        measured_mbps: (epoch > 0).then_some(mbps),
-                        horizon: 1,
-                    },
-                );
-            }
-            assert!(server.force_evict(sid));
-        }
-        assert_eq!(server.recorded_sessions(), 2);
-        assert_eq!(server.model_version(), ModelVersion(1));
-        // Advance the injectable clock past the interval; the refresher
-        // (polling every millisecond of real time) picks it up.
-        clock.advance(Duration::from_secs(61).as_micros() as u64);
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while server.model_version() < ModelVersion(2) && Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(
-            server.model_version(),
-            ModelVersion(2),
-            "background refresh must fire after the clock advances"
-        );
         server.shutdown();
     }
 

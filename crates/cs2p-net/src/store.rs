@@ -15,7 +15,7 @@
 //! [`SessionStore::evicted`] and the `serve.evicted` counter; an evicted
 //! viewer that comes back simply gets the "unknown session" re-init path.
 
-use std::collections::HashMap;
+use std::collections::{hash_map, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -343,6 +343,11 @@ impl<V> ShardGuard<'_, V> {
     /// capacity bound: expired entries go first, and if the shard is
     /// still full the least recently touched entry is evicted.
     pub fn insert(&mut self, id: u64, value: V) {
+        self.insert_mut(id, value);
+    }
+
+    /// [`insert`](Self::insert), handing back the value just stored.
+    pub(crate) fn insert_mut(&mut self, id: u64, value: V) -> &mut V {
         if let Some(ttl) = self.store.ttl {
             let now = self.now;
             let expired: Vec<u64> = self
@@ -370,18 +375,19 @@ impl<V> ShardGuard<'_, V> {
                 }
             }
         }
-        let fresh = self
-            .guard
-            .insert(
-                id,
-                Entry {
-                    value,
-                    last_touch: self.now,
-                },
-            )
-            .is_none();
-        if fresh {
-            self.store.live.fetch_add(1, Ordering::Relaxed);
+        let entry = Entry {
+            value,
+            last_touch: self.now,
+        };
+        match self.guard.entry(id) {
+            hash_map::Entry::Occupied(mut slot) => {
+                slot.insert(entry);
+                &mut slot.into_mut().value
+            }
+            hash_map::Entry::Vacant(slot) => {
+                self.store.live.fetch_add(1, Ordering::Relaxed);
+                &mut slot.insert(entry).value
+            }
         }
     }
 

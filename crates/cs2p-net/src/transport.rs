@@ -113,18 +113,17 @@ impl Write for IoHalf {
 /// server disarms it once the request has been fully parsed (see
 /// `serve_turn`). A read attempted past the deadline fails with
 /// [`io::ErrorKind::TimedOut`] and bumps `serve.fault.slow_peer_aborts`.
-/// With no budget configured this is a transparent passthrough.
 pub(crate) struct DeadlineReader {
     inner: IoHalf,
     clock: Arc<dyn Clock>,
-    /// Budget in microseconds for receiving one request; `None` disables.
-    budget_us: Option<u64>,
+    /// Budget in microseconds for receiving one request.
+    budget_us: u64,
     /// Absolute deadline for the in-flight request, once armed.
     deadline_us: Option<u64>,
 }
 
 impl DeadlineReader {
-    pub(crate) fn new(inner: IoHalf, clock: Arc<dyn Clock>, budget_us: Option<u64>) -> Self {
+    pub(crate) fn new(inner: IoHalf, clock: Arc<dyn Clock>, budget_us: u64) -> Self {
         DeadlineReader {
             inner,
             clock,
@@ -152,9 +151,7 @@ impl Read for DeadlineReader {
         }
         let n = self.inner.read(buf)?;
         if n > 0 && self.deadline_us.is_none() {
-            if let Some(budget) = self.budget_us {
-                self.deadline_us = Some(self.clock.now_micros().saturating_add(budget));
-            }
+            self.deadline_us = Some(self.clock.now_micros().saturating_add(self.budget_us));
         }
         Ok(n)
     }
@@ -190,19 +187,9 @@ mod tests {
     }
 
     #[test]
-    fn deadline_reader_passes_through_without_budget() {
-        let clock = Arc::new(ManualClock::new());
-        let mut r = DeadlineReader::new(wrapped(b"hello"), clock.clone(), None);
-        let mut buf = [0u8; 8];
-        assert_eq!(r.read(&mut buf).unwrap(), 5);
-        clock.advance(1_000_000_000);
-        assert_eq!(r.read(&mut buf).unwrap(), 0); // EOF, never a timeout
-    }
-
-    #[test]
     fn deadline_arms_on_first_byte_and_aborts_past_budget() {
         let clock = Arc::new(ManualClock::new());
-        let mut r = DeadlineReader::new(wrapped(b"abcdef"), clock.clone(), Some(100));
+        let mut r = DeadlineReader::new(wrapped(b"abcdef"), clock.clone(), 100);
         let mut one = [0u8; 1];
         assert_eq!(r.read(&mut one).unwrap(), 1); // arms at t=0, deadline 100
         clock.advance(50);
@@ -215,7 +202,7 @@ mod tests {
     #[test]
     fn finish_request_rearms_for_the_next_request() {
         let clock = Arc::new(ManualClock::new());
-        let mut r = DeadlineReader::new(wrapped(b"abcd"), clock.clone(), Some(100));
+        let mut r = DeadlineReader::new(wrapped(b"abcd"), clock.clone(), 100);
         let mut one = [0u8; 1];
         assert_eq!(r.read(&mut one).unwrap(), 1);
         clock.advance(90);

@@ -198,15 +198,11 @@ fn degraded_level_skips_filter_updates_differentially() {
 
 #[test]
 fn fallback_level_reproduces_the_harmonic_mean_baseline_exactly() {
-    let config = ServeConfig {
-        retry_after_seconds: 3,
-        ..ServeConfig::default()
-    };
-    let server = serve_with(tiny_engine(), "127.0.0.1:0", config).unwrap();
+    let server = serve_with(tiny_engine(), "127.0.0.1:0", ServeConfig::default()).unwrap();
     server.force_admission_level(Some(AdmissionLevel::Fallback));
     let mut client = HttpClient::new(server.addr());
 
-    // No measurement, no history: shed with the configured Retry-After.
+    // No measurement, no history: shed with a Retry-After.
     let resp = client
         .send(&Request::new(
             "POST",
@@ -221,7 +217,7 @@ fn fallback_level_reproduces_the_harmonic_mean_baseline_exactly() {
         ))
         .unwrap();
     assert_eq!(resp.status, 503);
-    assert_eq!(resp.header("retry-after"), Some("3"));
+    assert_eq!(resp.header("retry-after"), Some("1"));
     client.reset_connection();
 
     // Every measurement-carrying request answers exactly what the
@@ -277,7 +273,7 @@ fn ops_surface_never_sheds_and_reports_the_current_level() {
         ))
         .unwrap();
     assert_eq!(resp.status, 503);
-    assert!(resp.header("retry-after").is_some());
+    assert_eq!(resp.header("retry-after"), Some("1"));
     client.reset_connection();
 
     // …but the operator's read-only surface keeps answering, and

@@ -73,7 +73,7 @@ fn chaos_server() -> ServerHandle {
         // Short enough that a truncated frame is reaped quickly (well
         // under the client's 10 s read timeout), long enough that a
         // healthy keep-alive request never trips it.
-        read_timeout: Duration::from_millis(150),
+        io_timeout: Duration::from_millis(150),
         ..ServeConfig::default()
     };
     serve_with(tiny_engine(), "127.0.0.1:0", config).unwrap()
@@ -423,7 +423,7 @@ fn refresh_chaos_server() -> ServerHandle {
         queue_depth: 1024,
         max_sessions: 10_000,
         session_ttl_requests: None,
-        read_timeout: Duration::from_millis(150),
+        io_timeout: Duration::from_millis(150),
         refresh: RefreshConfig {
             train_config: tiny_train_config(),
             retain: 2,
@@ -593,7 +593,7 @@ fn durable_chaos_server(dir: &Path, hook: Option<Arc<CrashPlan>>) -> ServerHandl
         queue_depth: 1024,
         max_sessions: 10_000,
         session_ttl_requests: None,
-        read_timeout: Duration::from_millis(150),
+        io_timeout: Duration::from_millis(150),
         ..ServeConfig::default()
     };
     let persist = PersistConfig {

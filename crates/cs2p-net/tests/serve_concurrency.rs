@@ -125,8 +125,7 @@ fn spawn_streamer(addr: SocketAddr, session_id: u64) -> std::thread::JoinHandle<
 fn shutdown_is_bounded_and_drains_in_flight_requests() {
     let config = ServeConfig {
         n_workers: 2,
-        read_timeout: Duration::from_secs(1),
-        write_timeout: Duration::from_secs(1),
+        io_timeout: Duration::from_secs(1),
         ..ServeConfig::default()
     };
     let server = serve_with(tiny_engine(), "127.0.0.1:0", config).unwrap();
