@@ -13,17 +13,14 @@
 //! within 5% of a build with no observer attached at all — which is the
 //! same thing, since the registry starts disabled.
 //!
-//! Two further groups cover the observability additions on the serving
-//! path: `quantile-sketch` times `quantile_observe` (the streaming
-//! p50/p90/p99 sketch behind `/ops` and the quality monitor) in each
-//! registry state, and the headline table gains end-to-end serving rows
-//! with request tracing off and on.
+//! A second group, `quantile-sketch`, times `quantile_observe` (the
+//! streaming p50/p90/p99 sketch behind `/ops` and the quality monitor)
+//! in each registry state. Nothing here times a live server: serving
+//! cost is `perf/`'s job.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use cs2p_ml::hmm::{train, TrainConfig};
 use cs2p_obs::{quantile_observe, MemorySink, QuantileSketch, Registry};
-use cs2p_testkit::loadgen::{run_load, LoadConfig};
-use cs2p_testkit::scenarios::tiny_engine;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -169,72 +166,5 @@ fn quantile_sketch(c: &mut Criterion) {
     group.finish();
 }
 
-/// Median wall time of one small loadgen run (2 clients × 8 sessions ×
-/// 5 epochs) against a fresh server, in nanoseconds. Server startup and
-/// shutdown stay outside the timed region.
-fn median_serve_nanos(trace: bool, reps: usize) -> u128 {
-    let mut times: Vec<u128> = (0..reps)
-        .map(|rep| {
-            let server = cs2p_net::serve(tiny_engine(), "127.0.0.1:0").expect("bench server");
-            let config = LoadConfig {
-                n_clients: 2,
-                n_sessions: 8,
-                epochs_per_session: 5,
-                trace_seed: trace.then_some(0xBE5E ^ rep as u64),
-                ..LoadConfig::default()
-            };
-            let start = Instant::now();
-            let report = run_load(server.addr(), &config);
-            let elapsed = start.elapsed().as_nanos();
-            assert_eq!(report.ok, report.sent, "bench workload must not shed");
-            server.shutdown();
-            elapsed
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
-}
-
-/// Headline serving rows: end-to-end request cost with tracing off/on,
-/// in each registry state. Tracing adds one header and a thread-local
-/// scope per request; the disabled-registry delta is the whole cost a
-/// production deployment pays for trace-ready clients.
-fn serve_tracing_overhead(_c: &mut Criterion) {
-    const REPS: usize = 15;
-    let registry = Registry::global();
-
-    registry.set_enabled(false);
-    let untraced = median_serve_nanos(false, REPS);
-    let traced = median_serve_nanos(true, REPS);
-    registry.set_enabled(true);
-    let sink = Arc::new(MemorySink::new());
-    registry.add_sink(sink.clone());
-    let traced_sink = median_serve_nanos(true, REPS);
-    registry.clear_sinks();
-    registry.set_enabled(false);
-
-    let pct = |t: u128| (t as f64 / untraced as f64 - 1.0) * 100.0;
-    println!("[obs-overhead] serving 40 requests, median of {REPS} runs:");
-    println!(
-        "  untraced, disabled  {:>10.3} ms (baseline)",
-        untraced as f64 / 1e6
-    );
-    println!(
-        "  traced, disabled    {:>10.3} ms ({:+.1}%)",
-        traced as f64 / 1e6,
-        pct(traced)
-    );
-    println!(
-        "  traced, mem sink    {:>10.3} ms ({:+.1}%)",
-        traced_sink as f64 / 1e6,
-        pct(traced_sink)
-    );
-}
-
-criterion_group!(
-    obs_overhead_group,
-    obs_overhead,
-    quantile_sketch,
-    serve_tracing_overhead
-);
+criterion_group!(obs_overhead_group, obs_overhead, quantile_sketch);
 criterion_main!(obs_overhead_group);

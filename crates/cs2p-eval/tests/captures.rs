@@ -1,15 +1,18 @@
-//! The `--metrics` captures CI gates on, checked offline: `serve-bench`
-//! twice and `persist-bench` once through the built binary, then the same
-//! schema, two-run determinism, tracing and vocabulary checks the
-//! workflow runs as shell greps; and `chaos-bench` once for the fault
-//! telemetry schema. A load phase that stops producing a record family
-//! fails here, not on the next CI run.
+//! The `--metrics` captures, checked offline through the built binary:
+//! each capture runs twice and `validate-metrics` applies the schema,
+//! the stage-coverage gate and the two-run determinism diff; then the
+//! raw capture is searched for the records the normalizer strips
+//! (`serve.*`, `client.*`, `trace_id`). A bench subcommand that stops
+//! producing a record family, or two same-seed runs that drift apart,
+//! fail here. The benches' own in-code certificates (the ladder beating
+//! pure-503 shedding, Fallback equal to the harmonic mean) run too.
 
 use cs2p_testkit::crash::TempDir;
 use std::path::Path;
 use std::process::Command;
 
-fn eval(dir: &Path, args: &[&str]) {
+/// Runs `cs2p-eval args` in `dir`, requires success, returns stdout.
+fn eval(dir: &Path, args: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_cs2p-eval"))
         .current_dir(dir)
         .args(args)
@@ -21,6 +24,19 @@ fn eval(dir: &Path, args: &[&str]) {
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+/// Runs `bench --metrics` twice into `<stem>1.jsonl` / `<stem>2.jsonl`,
+/// validates both against `require` and diffs them, and returns the
+/// first raw capture.
+fn twice_reproducible(dir: &Path, bench: &str, stem: &str, require: &str) -> String {
+    let (a, b) = (format!("{stem}1.jsonl"), format!("{stem}2.jsonl"));
+    for file in [&a, &b] {
+        eval(dir, &[bench, "--metrics", file]);
+    }
+    eval(dir, &["validate-metrics", &a, &b, "--require", require]);
+    std::fs::read_to_string(dir.join(&a)).expect("read capture")
 }
 
 fn assert_names(capture: &str, names: &[&str]) {
@@ -32,34 +48,27 @@ fn assert_names(capture: &str, names: &[&str]) {
     }
 }
 
+fn assert_families(capture: &str, families: &[&str]) {
+    for family in families {
+        assert!(
+            capture.contains(&format!("\"name\":\"{family}")),
+            "capture has no {family}* record"
+        );
+    }
+}
+
 #[test]
 fn serve_and_persist_captures_pass_the_ci_gates() {
     let dir = TempDir::new("captures");
     let dir = dir.path();
-    eval(dir, &["serve-bench", "--metrics", "serve1.jsonl"]);
-    eval(dir, &["serve-bench", "--metrics", "serve2.jsonl"]);
-    eval(dir, &["persist-bench", "--metrics", "persist1.jsonl"]);
-    eval(
+    let serve = twice_reproducible(
         dir,
-        &[
-            "validate-metrics",
-            "serve1.jsonl",
-            "serve2.jsonl",
-            "--require",
-            "serve,net,predict,train,quality",
-        ],
+        "serve-bench",
+        "serve",
+        "serve,net,predict,train,quality",
     );
-    eval(
-        dir,
-        &[
-            "validate-metrics",
-            "persist1.jsonl",
-            "--require",
-            "serve,predict,train",
-        ],
-    );
+    let persist = twice_reproducible(dir, "persist-bench", "persist", "serve,predict,train");
 
-    let serve = std::fs::read_to_string(dir.join("serve1.jsonl")).expect("read serve capture");
     let spans: Vec<&str> = serve
         .lines()
         .filter(|l| l.contains("\"name\":\"serve.request\""))
@@ -80,13 +89,22 @@ fn serve_and_persist_captures_pass_the_ci_gates() {
             "quality.coverage.matched",
         ],
     );
+    assert_families(&serve, &["quality.ape."]);
+
+    // The report groups the capture by trace id; its waterfalls must
+    // show a traced request's server span.
+    let report = eval(dir, &["trace-report", "serve1.jsonl"]);
+    let waterfall = report
+        .split("\ntrace ")
+        .nth(1)
+        .unwrap_or_else(|| panic!("trace-report rendered no waterfall:\n{report}"));
     assert!(
-        serve.contains("\"name\":\"quality.ape."),
-        "capture has no quality.ape.* sketch"
+        waterfall
+            .lines()
+            .any(|l| l.contains(" serve.request ") && l.contains(" span ")),
+        "first waterfall has no serve.request span:\n{report}"
     );
 
-    let persist =
-        std::fs::read_to_string(dir.join("persist1.jsonl")).expect("read persist capture");
     assert_names(
         &persist,
         &[
@@ -116,10 +134,56 @@ fn chaos_capture_carries_fault_and_retry_telemetry() {
         ],
     );
     let chaos = std::fs::read_to_string(dir.join("chaos.jsonl")).expect("read chaos capture");
-    for family in ["serve.fault.", "client.retry."] {
-        assert!(
-            chaos.contains(&format!("\"name\":\"{family}")),
-            "capture has no {family}* record"
-        );
-    }
+    assert_families(&chaos, &["serve.fault.", "client.retry."]);
+}
+
+/// The default experiment set (`--small`, seed 1): schema-valid on the
+/// default `train,predict,stream` stages, identical across two runs, and
+/// `--profile` renders its per-stage table.
+#[test]
+fn small_run_metrics_are_reproducible_and_profile_renders() {
+    let dir = TempDir::new("small-capture");
+    let dir = dir.path();
+    let stdout = eval(dir, &["--small", "--metrics", "small1.jsonl", "--profile"]);
+    eval(dir, &["--small", "--metrics", "small2.jsonl"]);
+    eval(dir, &["validate-metrics", "small1.jsonl", "small2.jsonl"]);
+
+    let table = stdout
+        .split("profile: per-stage wall time (from span histograms)\n")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no profile table:\n{stdout}"));
+    let mut lines = table.lines();
+    assert!(
+        lines.next().is_some_and(|h| h.starts_with("stage")),
+        "profile table has no header:\n{table}"
+    );
+    assert!(lines.next().is_some(), "profile table has no rows");
+}
+
+#[test]
+fn refresh_capture_is_reproducible_and_carries_lifecycle_telemetry() {
+    let dir = TempDir::new("refresh-capture");
+    let dir = dir.path();
+    let refresh = twice_reproducible(dir, "refresh-bench", "refresh", "train,predict");
+    assert_families(&refresh, &["serve.model.", "train.warm_start."]);
+}
+
+#[test]
+fn degradation_capture_is_reproducible_and_carries_ladder_telemetry() {
+    let dir = TempDir::new("degradation-capture");
+    let dir = dir.path();
+    let deg = twice_reproducible(dir, "degradation-bench", "deg", "serve");
+    assert_names(
+        &deg,
+        &[
+            "serve.admission.full",
+            "serve.admission.degraded",
+            "serve.admission.fallback",
+            "serve.admission.shed",
+            "serve.admission.transitions",
+            "client.breaker.opens",
+            "client.breaker.fast_fails",
+            "predict.client.fallback",
+        ],
+    );
 }

@@ -339,17 +339,21 @@ impl HttpClient {
     }
 
     fn connect(&mut self) -> io::Result<&mut (BufReader<IoHalf>, BufWriter<IoHalf>)> {
-        if self.connection.is_none() {
-            let stream = TcpStream::connect_timeout(&self.addr, Duration::from_secs(5))?;
-            stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-            stream.set_nodelay(true)?;
-            let conn_seq = self.connects;
-            self.connects += 1;
-            let (read_half, write_half) =
-                IoHalf::pair(&stream, conn_seq, self.transport_wrapper.as_ref())?;
-            self.connection = Some((BufReader::new(read_half), BufWriter::new(write_half)));
+        match self.connection {
+            Some(ref mut connection) => Ok(connection),
+            None => {
+                let stream = TcpStream::connect_timeout(&self.addr, Duration::from_secs(5))?;
+                stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+                stream.set_nodelay(true)?;
+                let conn_seq = self.connects;
+                self.connects += 1;
+                let (read_half, write_half) =
+                    IoHalf::pair(&stream, conn_seq, self.transport_wrapper.as_ref())?;
+                Ok(self
+                    .connection
+                    .insert((BufReader::new(read_half), BufWriter::new(write_half))))
+            }
         }
-        Ok(self.connection.as_mut().unwrap())
     }
 
     /// Waits out one backoff delay from the persistent state and records
@@ -460,7 +464,11 @@ impl HttpClient {
         }
         cs2p_obs::counter_add("client.retry.giveups", 1);
         cs2p_obs::counter_add("net.client.errors", 1);
-        Err(last_err.expect("max_attempts >= 1"))
+        // Invariant: `max_attempts >= 1`, so the loop ran and every pass
+        // that did not return stored an error.
+        #[allow(clippy::expect_used)]
+        let err = last_err.expect("max_attempts >= 1");
+        Err(err)
     }
 
     /// Drops the current keep-alive connection; the next request

@@ -53,6 +53,10 @@
 // (binaries are exempt; see OBSERVABILITY.md).
 #![deny(clippy::print_stdout)]
 #![deny(clippy::print_stderr)]
+// A serving process must not panic on an `Option` or `Result`: decode
+// failures are typed, and an invariant that cannot fail is named where
+// it is allowed.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod admission;
 pub mod client;

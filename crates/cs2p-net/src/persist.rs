@@ -135,26 +135,14 @@ pub fn decode_frames(bytes: &[u8]) -> WalReplay {
         clean: true,
         valid_bytes: 0,
     };
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        if bytes.len() - pos < FRAME_HEADER {
+    let mut cursor = Cursor { bytes, pos: 0 };
+    while cursor.pos < bytes.len() {
+        let Some(payload) = cursor.frame() else {
             out.clean = false;
             return out;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        if len > MAX_RECORD_LEN || bytes.len() - pos - FRAME_HEADER < len as usize {
-            out.clean = false;
-            return out;
-        }
-        let payload = &bytes[pos + FRAME_HEADER..pos + FRAME_HEADER + len as usize];
-        if crc32(payload) != crc {
-            out.clean = false;
-            return out;
-        }
+        };
         out.records.push(payload.to_vec());
-        pos += FRAME_HEADER + len as usize;
-        out.valid_bytes = pos as u64;
+        out.valid_bytes = cursor.pos as u64;
     }
     out
 }
@@ -597,26 +585,37 @@ impl<'a> Cursor<'a> {
         })
     }
 
-    fn f64_vec(&mut self) -> Option<Vec<f64>> {
+    /// One `[len: u32][crc32: u32][payload]` frame: `None` on a short
+    /// header, a short or oversized payload, or a CRC mismatch.
+    fn frame(&mut self) -> Option<&'a [u8]> {
+        let len = self.u32()?;
+        let crc = self.u32()?;
+        if len > MAX_RECORD_LEN {
+            return None;
+        }
+        let payload = self.take(len as usize)?;
+        (crc32(payload) == crc).then_some(payload)
+    }
+
+    /// A `u32` count, then that many `N`-byte little-endian items.
+    fn vec_of<T, const N: usize>(&mut self, item: fn([u8; N]) -> T) -> Option<Vec<T>> {
         let len = self.u32()? as usize;
         // The length is attacker-controlled on a corrupt payload; `take`
         // bounds the allocation by what is actually present.
-        let raw = self.take(len.checked_mul(8)?)?;
-        Some(
-            raw.chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-                .collect(),
-        )
+        let raw = self.take(len.checked_mul(N)?)?;
+        let mut out = Vec::with_capacity(len);
+        for chunk in raw.chunks_exact(N) {
+            out.push(item(chunk.try_into().ok()?));
+        }
+        Some(out)
+    }
+
+    fn f64_vec(&mut self) -> Option<Vec<f64>> {
+        self.vec_of(f64::from_le_bytes)
     }
 
     fn u32_vec(&mut self) -> Option<Vec<u32>> {
-        let len = self.u32()? as usize;
-        let raw = self.take(len.checked_mul(4)?)?;
-        Some(
-            raw.chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-                .collect(),
-        )
+        self.vec_of(u32::from_le_bytes)
     }
 
     fn filter(&mut self) -> Option<FilterState> {
