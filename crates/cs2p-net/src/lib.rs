@@ -82,8 +82,8 @@ pub use dash::{
 pub use ops::{FaultRow, OpsAdmission, OpsQuality, OpsSnapshot, QualityRow};
 pub use persist::{CommitOutcome, PersistConfig, RecoveredState, WalFaultHook, WalStats};
 pub use protocol::{
-    BatchEntryResult, BatchPredictRequest, BatchPredictResponse, Degradation, Health, LogStats,
-    PredictRequest, PredictResponse, SessionLog, StrategyStats, MAX_BATCH_ENTRIES,
+    BatchEntryResult, BatchPredictRequest, BatchPredictResponse, DecodeError, Degradation, Health,
+    LogStats, PredictRequest, PredictResponse, SessionLog, StrategyStats, MAX_BATCH_ENTRIES,
 };
 pub use quality::{QualityConfig, QualityMonitor};
 pub use recorder::SessionRecorder;

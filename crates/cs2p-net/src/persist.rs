@@ -74,9 +74,13 @@ const MAX_RECORD_LEN: u32 = 16 * 1024 * 1024;
 /// Bytes of framing per record: a `u32` length plus a `u32` CRC32.
 const FRAME_HEADER: usize = 8;
 
-/// CRC32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables for CRC32 (IEEE 802.3, reflected polynomial
+/// `0xEDB8_8320`), built at compile time. `CRC32_TABLES[0]` is the
+/// classic bytewise table; `CRC32_TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, so eight table lookups advance the CRC a
+/// whole 8-byte word.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -89,28 +93,63 @@ const CRC32_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC32 (IEEE) of `bytes` — the checksum guarding every WAL and
-/// snapshot frame.
-/// Hand-rolled (table-driven) because the workspace vendors no CRC crate.
+/// snapshot frame. Hand-rolled slicing-by-8 (eight bytes per step, the
+/// tail bytewise) because the workspace vendors no CRC crate; the values
+/// are those of the plain bytewise algorithm.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
 
-/// Frames `payload` as `[len: u32 LE][crc32: u32 LE][payload]` into `out`.
+/// Appends one `[len: u32 LE][crc32: u32 LE][payload]` frame to `out` in
+/// place: reserves the header, lets `write` append the payload straight
+/// after it, then patches in the payload's length and CRC. No
+/// intermediate payload buffer.
+fn frame_with(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    write(out);
+    let (header, payload) = out[start..].split_at_mut(FRAME_HEADER);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+}
+
+/// Frames an already-encoded `payload` into `out`.
 fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    frame_with(out, |out| out.extend_from_slice(payload));
 }
 
 /// The decoded contents of one WAL segment or snapshot file (or byte
@@ -662,12 +701,19 @@ impl WalRecord {
     /// Encodes this record into its binary WAL payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends this record's binary WAL payload to `out` — what the WAL
+    /// and snapshot writers frame in place.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::Register { id, tick, session } => {
                 out.push(TAG_REGISTER);
-                put_u64(&mut out, *id);
-                put_u64(&mut out, *tick);
-                put_session(&mut out, session);
+                put_u64(out, *id);
+                put_u64(out, *tick);
+                put_session(out, session);
             }
             WalRecord::Update {
                 id,
@@ -678,19 +724,18 @@ impl WalRecord {
                 pending,
             } => {
                 out.push(TAG_UPDATE);
-                put_u64(&mut out, *id);
-                put_u64(&mut out, *tick);
-                put_opt_f64(&mut out, *measured);
-                put_u64(&mut out, *observed_len);
-                put_filter(&mut out, filter);
-                put_pending(&mut out, pending);
+                put_u64(out, *id);
+                put_u64(out, *tick);
+                put_opt_f64(out, *measured);
+                put_u64(out, *observed_len);
+                put_filter(out, filter);
+                put_pending(out, pending);
             }
             WalRecord::Remove { id } => {
                 out.push(TAG_REMOVE);
-                put_u64(&mut out, *id);
+                put_u64(out, *id);
             }
         }
-        out
     }
 
     /// Decodes a binary WAL payload. `None` on any malformation —
@@ -728,18 +773,34 @@ fn encode_snapshot(
     tick: u64,
     entries: Vec<(u64, u64, PersistedSession)>,
 ) -> Vec<u8> {
-    let mut header = Vec::with_capacity(24);
-    put_u64(&mut header, covered_gen);
-    put_u64(&mut header, tick);
-    put_u64(&mut header, entries.len() as u64);
-    let mut out = Vec::new();
-    frame_into(&mut out, &header);
+    // An upper bound on the file, so the image (megabytes at a full
+    // store) is framed in place into one allocation that never regrows:
+    // the 24-byte header, then per entry a frame header, at most 65 fixed
+    // payload bytes (tag, id, tick, version, model, hit flag, three
+    // lengths, epoch, pending), and its three vectors.
+    let capacity = FRAME_HEADER
+        + 24
+        + entries
+            .iter()
+            .map(|(_, _, s)| {
+                FRAME_HEADER
+                    + 65
+                    + 8 * (s.filter.posterior.len() + s.observed.len())
+                    + 4 * s.features.len()
+            })
+            .sum::<usize>();
+    let mut out = Vec::with_capacity(capacity);
+    frame_with(&mut out, |out| {
+        put_u64(out, covered_gen);
+        put_u64(out, tick);
+        put_u64(out, entries.len() as u64);
+    });
     for (id, tick, session) in entries {
-        frame_into(
-            &mut out,
-            &WalRecord::Register { id, tick, session }.encode(),
-        );
+        frame_with(&mut out, |out| {
+            WalRecord::Register { id, tick, session }.encode_into(out)
+        });
     }
+    debug_assert!(out.len() <= capacity, "snapshot outgrew its bound");
     out
 }
 
@@ -1016,17 +1077,20 @@ impl SessionPersist {
     /// Appends one mutation record (called under the owning shard's lock,
     /// so WAL order agrees with each shard's mutation order).
     pub fn log(&self, record: &WalRecord) {
-        let _ = self.wal.append(&record.encode());
-        self.since_snapshot.fetch_add(1, Ordering::Relaxed);
+        let mut batch = WalBatch::default();
+        self.stage(record, &mut batch);
+        self.log_staged(&mut batch);
     }
 
     /// Encodes and frames `record` into `batch` without touching the
     /// WAL. The batched endpoint stages every record of a shard group
     /// this way (under the shard lock, so WAL order still agrees with
     /// the shard's mutation order) and lands the group with one
-    /// [`log_staged`](Self::log_staged) call.
+    /// [`log_staged`](Self::log_staged) call. The record is encoded in
+    /// place after its frame header, so a warmed batch stages without
+    /// allocating.
     pub fn stage(&self, record: &WalRecord, batch: &mut WalBatch) {
-        frame_into(&mut batch.framed, &record.encode());
+        frame_with(&mut batch.framed, |out| record.encode_into(out));
         batch.records += 1;
     }
 
@@ -1240,6 +1304,81 @@ mod tests {
         // IEEE CRC32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bit-at-a-time definition of the same CRC, with no tables.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_reference_at_every_length_and_alignment() {
+        let mut x = 0x9E37_79B9u32;
+        let buf: Vec<u8> = (0..256 + 8)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                x as u8
+            })
+            .collect();
+        for align in 0..8 {
+            for len in 0..=256 {
+                let bytes = &buf[align..align + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "len {len} at alignment {align}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_framing_is_framing_the_encoded_payload() {
+        let clock = Arc::new(ManualClock::new());
+        let dir = temp_dir("frame");
+        let persist = SessionPersist::create(&dir, clock, &PersistConfig::default()).unwrap();
+        let mut staged = WalBatch::default();
+        let mut framed = Vec::new();
+        for record in codec_records() {
+            persist.stage(&record, &mut staged);
+            frame_into(&mut framed, &record.encode());
+        }
+        assert_eq!(staged.framed, framed);
+
+        let entries: Vec<_> = codec_records()
+            .into_iter()
+            .filter_map(|r| match r {
+                WalRecord::Register { id, tick, session } => Some((id, tick, session)),
+                _ => None,
+            })
+            .collect();
+        let mut header = Vec::new();
+        for v in [3, 17, entries.len() as u64] {
+            put_u64(&mut header, v);
+        }
+        let mut expected = Vec::new();
+        frame_into(&mut expected, &header);
+        for (id, tick, session) in entries.clone() {
+            frame_into(
+                &mut expected,
+                &WalRecord::Register { id, tick, session }.encode(),
+            );
+        }
+        assert_eq!(encode_snapshot(3, 17, entries), expected);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -295,9 +295,8 @@ pub struct BatchPredictResponse {
 // 64-entry frame is thousands of allocations per request. The writers
 // below render the same bytes the generic path produces (asserted in
 // `fast_writers_match_the_generic_serializer` and by proptest coverage)
-// straight into one preallocated buffer. Only serialization has a fast
-// path — parsing still goes through `serde_json::from_slice`, so hostile
-// input handling stays in one place.
+// straight into one preallocated buffer. The request types parse the
+// same way, through the direct decoder further down.
 
 /// Writes `f` exactly as the vendored `serde_json` writer does: shortest
 /// round-trip `Display`, `.0` appended to integral values, `null` for
@@ -438,6 +437,264 @@ impl BatchPredictResponse {
         }
         out.push_str("]}");
         out.into_bytes()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Direct JSON decoder for the request hot path
+// ---------------------------------------------------------------------------
+//
+// The server parses every `/predict` and `/predict_batch` body here, in
+// one pass over the bytes with no `Value` tree: the only allocations are
+// the entries `Vec` and each entry's `features`. The decoder accepts a
+// subset of what `serde_json::from_slice` accepts and decodes it to the
+// same value (held to that in `protocol_props`): anything the in-repo
+// writers emit, plus whitespace, any key order and explicit `null`s for
+// the optional fields. Unknown, duplicate and escaped keys are refused,
+// where the serde impls above ignore, shadow or unescape them.
+
+/// Why [`PredictRequest::from_json_bytes`] or
+/// [`BatchPredictRequest::from_json_bytes`] refused a body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DecodeError {
+    /// Not a request body the decoder accepts.
+    Malformed,
+    /// A batch frame over [`MAX_BATCH_ENTRIES`]: decoding stopped at the
+    /// first entry past the cap, so an oversized frame is never parsed
+    /// whole.
+    TooManyEntries,
+}
+
+type Decoded<T> = Result<T, DecodeError>;
+
+/// A number token, typed as the vendored parser types it: a token with
+/// none of `.eE+` and no `-` past its sign is an `i64` if it fits, else a
+/// `u64` if it fits; everything else goes through `f64` parsing.
+enum Number {
+    Int(i64),
+    UInt(u64),
+    Float(f64),
+}
+
+/// A cursor over a request body.
+struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+/// Fills a field slot; a second occurrence of the key is refused.
+fn set_once<T>(slot: &mut Option<T>, value: T) -> Decoded<()> {
+    if slot.is_some() {
+        return Err(DecodeError::Malformed);
+    }
+    *slot = Some(value);
+    Ok(())
+}
+
+impl<'a> Reader<'a> {
+    /// Runs `value` over the whole of `bytes`: trailing non-whitespace is
+    /// refused.
+    fn document<T>(bytes: &'a [u8], value: fn(&mut Self) -> Decoded<T>) -> Decoded<T> {
+        let mut reader = Reader { bytes, pos: 0 };
+        let out = value(&mut reader)?;
+        match reader.peek() {
+            None => Ok(out),
+            Some(_) => Err(DecodeError::Malformed),
+        }
+    }
+
+    /// The next byte after JSON whitespace, not consumed.
+    fn peek(&mut self) -> Option<u8> {
+        while let Some(&b) = self.bytes.get(self.pos) {
+            if !matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
+                return Some(b);
+            }
+            self.pos += 1;
+        }
+        None
+    }
+
+    /// Consumes `b` if it is the next byte after whitespace.
+    fn eat(&mut self, b: u8) -> bool {
+        let hit = self.peek() == Some(b);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    fn expect(&mut self, b: u8) -> Decoded<()> {
+        if self.eat(b) {
+            Ok(())
+        } else {
+            Err(DecodeError::Malformed)
+        }
+    }
+
+    /// `{ "key": value, ... }`, handing each raw key to `field`, which
+    /// must consume its value. Keys are compared as raw bytes, so an
+    /// escaped key never matches.
+    fn object(&mut self, mut field: impl FnMut(&mut Self, &[u8]) -> Decoded<()>) -> Decoded<()> {
+        self.expect(b'{')?;
+        if self.eat(b'}') {
+            return Ok(());
+        }
+        loop {
+            self.expect(b'"')?;
+            let rest = self.bytes.get(self.pos..).unwrap_or_default();
+            let len = rest
+                .iter()
+                .position(|&b| b == b'"')
+                .ok_or(DecodeError::Malformed)?;
+            let key = &rest[..len];
+            self.pos += len + 1;
+            self.expect(b':')?;
+            field(self, key)?;
+            if !self.eat(b',') {
+                return self.expect(b'}');
+            }
+        }
+    }
+
+    /// `[ item, ... ]`, calling `item` once per element.
+    fn array(&mut self, mut item: impl FnMut(&mut Self) -> Decoded<()>) -> Decoded<()> {
+        self.expect(b'[')?;
+        if self.eat(b']') {
+            return Ok(());
+        }
+        loop {
+            item(self)?;
+            if !self.eat(b',') {
+                return self.expect(b']');
+            }
+        }
+    }
+
+    /// `null` as `None`, anything else through `value`.
+    fn nullable<T>(&mut self, value: fn(&mut Self) -> Decoded<T>) -> Decoded<Option<T>> {
+        if self.peek() != Some(b'n') {
+            return value(self).map(Some);
+        }
+        if !self.bytes[self.pos..].starts_with(b"null") {
+            return Err(DecodeError::Malformed);
+        }
+        self.pos += 4;
+        Ok(None)
+    }
+
+    /// One number token, scanned and typed exactly as the vendored parser
+    /// does (including its leniency: `01` is 1 and `-0` is the integer 0).
+    fn number(&mut self) -> Decoded<Number> {
+        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            return Err(DecodeError::Malformed);
+        }
+        let start = self.pos;
+        self.pos += 1;
+        let mut is_float = false;
+        while let Some(&b) = self.bytes.get(self.pos) {
+            match b {
+                b'0'..=b'9' => {}
+                b'.' | b'e' | b'E' | b'+' | b'-' => is_float = true,
+                _ => break,
+            }
+            self.pos += 1;
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| DecodeError::Malformed)?;
+        if !is_float {
+            if let Ok(i) = text.parse() {
+                return Ok(Number::Int(i));
+            }
+            if let Ok(u) = text.parse() {
+                return Ok(Number::UInt(u));
+            }
+        }
+        text.parse()
+            .map(Number::Float)
+            .map_err(|_| DecodeError::Malformed)
+    }
+
+    /// An integer in `T`'s range; a float token is refused.
+    fn integer<T: TryFrom<i64> + TryFrom<u64>>(&mut self) -> Decoded<T> {
+        match self.number()? {
+            Number::Int(i) => T::try_from(i).ok(),
+            Number::UInt(u) => T::try_from(u).ok(),
+            Number::Float(_) => None,
+        }
+        .ok_or(DecodeError::Malformed)
+    }
+
+    fn float(&mut self) -> Decoded<f64> {
+        Ok(match self.number()? {
+            Number::Int(i) => i as f64,
+            Number::UInt(u) => u as f64,
+            Number::Float(f) => f,
+        })
+    }
+
+    fn features(&mut self) -> Decoded<Vec<u32>> {
+        let mut out = Vec::new();
+        self.array(|r| {
+            out.push(r.integer()?);
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    fn predict_request(&mut self) -> Decoded<PredictRequest> {
+        let (mut session_id, mut features, mut measured_mbps, mut horizon) =
+            (None, None, None, None);
+        self.object(|r, key| match key {
+            b"session_id" => set_once(&mut session_id, r.integer()?),
+            b"features" => set_once(&mut features, r.nullable(Self::features)?),
+            b"measured_mbps" => set_once(&mut measured_mbps, r.nullable(Self::float)?),
+            b"horizon" => set_once(&mut horizon, r.integer()?),
+            _ => Err(DecodeError::Malformed),
+        })?;
+        Ok(PredictRequest {
+            session_id: session_id.ok_or(DecodeError::Malformed)?,
+            features: features.flatten(),
+            measured_mbps: measured_mbps.flatten(),
+            horizon: horizon.ok_or(DecodeError::Malformed)?,
+        })
+    }
+
+    fn batch_request(&mut self) -> Decoded<BatchPredictRequest> {
+        let mut entries = None;
+        self.object(|r, key| {
+            if key != b"entries" {
+                return Err(DecodeError::Malformed);
+            }
+            let mut list = Vec::new();
+            r.array(|r| {
+                if list.len() == MAX_BATCH_ENTRIES {
+                    return Err(DecodeError::TooManyEntries);
+                }
+                list.push(r.predict_request()?);
+                Ok(())
+            })?;
+            set_once(&mut entries, list)
+        })?;
+        Ok(BatchPredictRequest {
+            entries: entries.ok_or(DecodeError::Malformed)?,
+        })
+    }
+}
+
+impl PredictRequest {
+    /// Parses a `POST /predict` body in one pass, without the `Value`
+    /// tree. Whatever it accepts, `serde_json::from_slice` decodes to the
+    /// same request; it is stricter in refusing unknown, duplicate and
+    /// escaped keys.
+    pub fn from_json_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
+        Reader::document(bytes, Reader::predict_request)
+    }
+}
+
+impl BatchPredictRequest {
+    /// Parses a `POST /predict_batch` body like
+    /// [`PredictRequest::from_json_bytes`], refusing a frame at its first
+    /// entry past [`MAX_BATCH_ENTRIES`].
+    pub fn from_json_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
+        Reader::document(bytes, Reader::batch_request)
     }
 }
 

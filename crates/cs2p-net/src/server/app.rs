@@ -5,8 +5,8 @@ use crate::http::{Request, Response};
 use crate::ops::{FaultRow, OpsAdmission, OpsQuality, OpsSnapshot, QualityRow};
 use crate::persist::{PersistedPending, PersistedSession, SessionPersist, WalBatch, WalRecord};
 use crate::protocol::{
-    parse_features_query, BatchEntryResult, BatchPredictRequest, BatchPredictResponse, Degradation,
-    Health, LogStats, PredictRequest, PredictResponse, SessionLog, MAX_BATCH_ENTRIES,
+    parse_features_query, BatchEntryResult, BatchPredictRequest, BatchPredictResponse, DecodeError,
+    Degradation, Health, LogStats, PredictRequest, PredictResponse, SessionLog,
 };
 use crate::quality::{ape, QualityMonitor};
 use crate::recorder::{SessionRecorder, SERVER_MIN_EPOCHS};
@@ -402,11 +402,12 @@ impl AppState {
     /// Degraded resolve (or register) the session and stage its WAL
     /// record the same way; only the `answer` strategy in between
     /// differs. The quality outcome is returned, not applied — APE
-    /// scoring happens after the shard lock drops.
+    /// scoring happens after the shard lock drops. A registration moves
+    /// the entry's `features` into the session; nothing reads them after.
     fn predict_session(
         &self,
         shard: &mut ShardGuard<'_, SessionState>,
-        preq: &PredictRequest,
+        preq: &mut PredictRequest,
         wal: &mut WalBatch,
         answer: Strategy,
     ) -> EntryOutcome {
@@ -418,14 +419,14 @@ impl AppState {
         let (state, registered) = match shard.get_mut(preq.session_id) {
             Some(state) => (state, false),
             None => {
-                let Some(features) = &preq.features else {
+                let Some(features) = preq.features.take() else {
                     return Err((404, "unknown session: send features to (re)register"));
                 };
                 let (version, engine) = self.registry.current();
                 if features.len() != engine.schema().len() {
                     return Err((400, "feature width mismatch"));
                 }
-                let fv = FeatureVector(features.clone());
+                let fv = FeatureVector(features);
                 let lookup = engine.lookup_detailed(&fv);
                 let durable = PersistedSession {
                     version: version.0,
@@ -561,7 +562,7 @@ impl AppState {
     /// proceeds. Returns the shard-lock acquisitions paid.
     fn predict_locked(
         &self,
-        entries: &[PredictRequest],
+        entries: &mut [PredictRequest],
         outcomes: &mut [Option<EntryOutcome>],
         answer: Strategy,
     ) -> usize {
@@ -591,7 +592,8 @@ impl AppState {
         for (shard_idx, indices) in &groups {
             let mut shard = self.sessions.lock_shard(*shard_idx);
             for &i in indices {
-                outcomes[i] = Some(self.predict_session(&mut shard, &entries[i], &mut wal, answer));
+                outcomes[i] =
+                    Some(self.predict_session(&mut shard, &mut entries[i], &mut wal, answer));
             }
             if let Some(p) = &self.persist {
                 p.log_staged(&mut wal);
@@ -649,7 +651,9 @@ impl AppState {
     /// read the ladder level → store pass (one lock per shard group, WAL
     /// group flushed before the lock drops) → frame-order side-table
     /// feed, scoring and accounting. `Err` is the whole-frame shed 503.
-    fn predict_frame(&self, entries: &[PredictRequest]) -> Result<Frame, Response> {
+    /// The frame is the caller's decoded request, lent mutably so a
+    /// registration can move its features instead of cloning them.
+    fn predict_frame(&self, entries: &mut [PredictRequest]) -> Result<Frame, Response> {
         let mut outcomes: Vec<Option<EntryOutcome>> = entries
             .iter()
             .map(|preq| Self::validate_predict(preq).err().map(Err))
@@ -723,10 +727,10 @@ impl AppState {
     /// `POST /predict`: a frame of one, its single entry mapped back to
     /// an HTTP status.
     fn handle_predict(&self, req: &Request) -> Response {
-        let Ok(preq) = serde_json::from_slice::<PredictRequest>(&req.body) else {
+        let Ok(mut preq) = PredictRequest::from_json_bytes(&req.body) else {
             return Response::error(400, "malformed PredictRequest");
         };
-        let mut frame = match self.predict_frame(std::slice::from_ref(&preq)) {
+        let mut frame = match self.predict_frame(std::slice::from_mut(&mut preq)) {
             Ok(frame) => frame,
             Err(shed) => return shed,
         };
@@ -743,17 +747,18 @@ impl AppState {
     /// `POST /predict_batch`: many prediction entries in one frame, each
     /// answered with its own status.
     fn handle_predict_batch(&self, req: &Request) -> Response {
-        let Ok(breq) = serde_json::from_slice::<BatchPredictRequest>(&req.body) else {
-            return Response::error(400, "malformed BatchPredictRequest");
+        let mut entries = match BatchPredictRequest::from_json_bytes(&req.body) {
+            Ok(breq) => breq.entries,
+            Err(DecodeError::TooManyEntries) => return Response::error(400, "batch too large"),
+            Err(DecodeError::Malformed) => {
+                return Response::error(400, "malformed BatchPredictRequest")
+            }
         };
-        let n = breq.entries.len();
+        let n = entries.len();
         if n == 0 {
             return Response::error(400, "empty batch");
         }
-        if n > MAX_BATCH_ENTRIES {
-            return Response::error(400, "batch too large");
-        }
-        let frame = match self.predict_frame(&breq.entries) {
+        let frame = match self.predict_frame(&mut entries) {
             Ok(frame) => frame,
             Err(shed) => return shed,
         };

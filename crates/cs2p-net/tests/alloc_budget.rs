@@ -3,13 +3,18 @@
 //! The serving gain of scoring in O(1) and predicting the horizon in one
 //! pass rests on two properties that a timing can only suggest: a
 //! steady-state `record_ape` allocates nothing, and a horizon prediction
-//! allocates the same whatever the horizon. A counting global allocator
-//! states both as numbers. Counts are per thread (the test harness runs
-//! each test on its own), so the tests cannot disturb one another.
+//! allocates the same whatever the horizon. The byte path around them
+//! is held the same way: decoding a batch frame allocates only the
+//! entries `Vec`, and staging WAL records into a warmed batch allocates
+//! nothing. A counting global allocator states each as a number. Counts
+//! are per thread (the test harness runs each test on its own), so the
+//! tests cannot disturb one another.
 
 use cs2p_ml::gaussian::Gaussian;
 use cs2p_ml::hmm::{Emission, FilterState, Hmm};
 use cs2p_ml::matrix::Matrix;
+use cs2p_net::persist::{PersistConfig, PersistedPending, SessionPersist, WalBatch, WalRecord};
+use cs2p_net::protocol::{BatchPredictRequest, PredictRequest};
 use cs2p_net::quality::{QualityConfig, QualityMonitor};
 use cs2p_obs::ManualClock;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -110,4 +115,70 @@ fn horizon_prediction_allocations_do_not_depend_on_the_horizon() {
         let observing = allocations_in(|| state.observe(&hmm, 1.5 + epoch as f64 * 0.3));
         assert_eq!(observing, u64::from(epoch > 0), "epoch {epoch}");
     }
+}
+
+#[test]
+fn decoding_a_batch_frame_allocates_only_the_entries_vec() {
+    let frame = BatchPredictRequest {
+        entries: (0..64)
+            .map(|i| PredictRequest {
+                session_id: 1000 + i,
+                features: None,
+                measured_mbps: Some(1.5 + i as f64 / 7.0),
+                horizon: 5,
+            })
+            .collect(),
+    }
+    .to_json_bytes();
+    let decoded = BatchPredictRequest::from_json_bytes(&frame).expect("own writer's frame");
+    assert_eq!(decoded.entries.len(), 64);
+    // The entries `Vec` growing 4 → 8 → … → 64 is five; nothing else
+    // allocates for a feature-less entry.
+    let allocated = allocations_in(|| BatchPredictRequest::from_json_bytes(&frame));
+    assert!(
+        allocated <= 8,
+        "a 64-entry frame decoded in {allocated} allocations"
+    );
+}
+
+#[test]
+fn staging_into_a_warmed_wal_batch_allocates_nothing() {
+    let dir = std::env::temp_dir().join(format!("cs2p-alloc-stage-{}", std::process::id()));
+    let config = PersistConfig {
+        fsync_data: false,
+        ..PersistConfig::default()
+    };
+    let persist = SessionPersist::create(&dir, Arc::new(ManualClock::new()), &config).unwrap();
+    let records: Vec<WalRecord> = (0..64)
+        .map(|i| WalRecord::Update {
+            id: i,
+            tick: 100 + i,
+            measured: Some(2.0 + i as f64),
+            observed_len: 5,
+            filter: FilterState {
+                posterior: vec![0.2, 0.3, 0.5],
+                epoch: 5,
+            },
+            pending: Some(PersistedPending {
+                value: 2.5,
+                initial: false,
+            }),
+        })
+        .collect();
+    let mut batch = WalBatch::default();
+    // Warm-up: the buffer grows to a 64-record group once, and landing
+    // the group keeps its capacity.
+    for record in &records {
+        persist.stage(record, &mut batch);
+    }
+    persist.log_staged(&mut batch);
+    let allocated = allocations_in(|| {
+        for record in &records {
+            persist.stage(record, &mut batch);
+        }
+    });
+    persist.log_staged(&mut batch);
+    assert_eq!(allocated, 0, "64 staged records allocated");
+    assert_eq!(persist.wal_stats().records, 128);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,12 +1,14 @@
 //! Property tests for the wire protocol (`cs2p-net/src/protocol.rs`):
-//! every message type round-trips through its JSON encoding, and a live
-//! server answers malformed, truncated, and oversized frames with an
-//! error response or a clean close — never a panic or a hung connection.
+//! every message type round-trips through its JSON encoding, the direct
+//! request decoder agrees with `serde_json::from_slice` wherever it
+//! accepts, and a live server answers malformed, truncated, and oversized
+//! frames with an error response or a clean close — never a panic or a
+//! hung connection.
 
 use cs2p_net::http::{read_response, Response, MAX_BODY_BYTES};
 use cs2p_net::protocol::{
-    BatchEntryResult, BatchPredictRequest, BatchPredictResponse, Degradation, Health, LogStats,
-    PredictRequest, PredictResponse, SessionLog, StrategyStats, MAX_BATCH_ENTRIES,
+    BatchEntryResult, BatchPredictRequest, BatchPredictResponse, DecodeError, Degradation, Health,
+    LogStats, PredictRequest, PredictResponse, SessionLog, StrategyStats, MAX_BATCH_ENTRIES,
 };
 use cs2p_net::{serve, ServerHandle};
 use cs2p_testkit::scenarios::tiny_engine;
@@ -214,6 +216,293 @@ proptest! {
         };
         prop_assert_eq!(roundtrip(&s), s);
     }
+}
+
+// ---------------------------------------------------------------------------
+// The direct request decoder against the serde reference
+// ---------------------------------------------------------------------------
+
+/// Re-renders a parsed JSON tree as another writer might: whitespace
+/// between tokens, object keys rotated, and (with `nulls`) explicit
+/// `null`s for a request's absent optional fields.
+struct Perturb {
+    ws: Vec<u8>,
+    next: usize,
+    rotate: usize,
+    nulls: bool,
+}
+
+impl Perturb {
+    fn space(&mut self, out: &mut String) {
+        let pick = self.ws[self.next % self.ws.len()] as usize;
+        self.next += 1;
+        out.push_str(["", "", "", " ", "\n", "\t", "\r\n  "][pick % 7]);
+    }
+
+    fn write(&mut self, out: &mut String, value: &serde::Value) {
+        self.space(out);
+        match value {
+            serde::Value::Array(items) => {
+                out.push('[');
+                for (k, item) in items.iter().enumerate() {
+                    if k > 0 {
+                        out.push(',');
+                    }
+                    self.write(out, item);
+                }
+                self.space(out);
+                out.push(']');
+            }
+            serde::Value::Object(fields) => {
+                let mut fields = fields.clone();
+                if self.nulls && fields.iter().any(|(k, _)| k == "session_id") {
+                    for key in ["features", "measured_mbps"] {
+                        if !fields.iter().any(|(k, _)| k == key) {
+                            fields.push((key.to_string(), serde::Value::Null));
+                        }
+                    }
+                }
+                if !fields.is_empty() {
+                    let n = fields.len();
+                    fields.rotate_left((self.rotate + self.next) % n);
+                }
+                out.push('{');
+                for (k, (key, item)) in fields.iter().enumerate() {
+                    if k > 0 {
+                        out.push(',');
+                    }
+                    self.space(out);
+                    out.push_str(&serde_json::to_string(key).unwrap());
+                    self.space(out);
+                    out.push(':');
+                    self.write(out, item);
+                }
+                self.space(out);
+                out.push('}');
+            }
+            scalar => out.push_str(&serde_json::to_string(scalar).unwrap()),
+        }
+    }
+
+    fn render(ws: Vec<u8>, rotate: usize, nulls: bool, json: &[u8]) -> Vec<u8> {
+        let tree = serde_json::parse(std::str::from_utf8(json).unwrap()).unwrap();
+        let mut out = String::new();
+        Perturb {
+            ws,
+            next: 0,
+            rotate,
+            nulls,
+        }
+        .write(&mut out, &tree);
+        out.into_bytes()
+    }
+}
+
+/// Bytes the mutation test splices in: JSON's structural and number
+/// characters, so a mutant is often still a valid request.
+const SPLICE: &[u8] = b"0123456789-+.eE ,:{}[]\"nul\\x";
+
+fn mutate(bytes: &mut Vec<u8>, edits: &[(usize, usize, usize)]) {
+    for &(kind, at, pick) in edits {
+        if bytes.is_empty() {
+            return;
+        }
+        let at = at % bytes.len();
+        let b = SPLICE[pick % SPLICE.len()];
+        match kind % 4 {
+            0 => bytes.truncate(at),
+            1 => bytes[at] = b,
+            2 => {
+                bytes.remove(at);
+            }
+            _ => bytes.insert(at, b),
+        }
+    }
+}
+
+/// Whenever the decoder accepts `bytes`, serde accepts them too and
+/// decodes the same value.
+fn decoder_is_sound_on(bytes: &[u8]) -> Result<(), String> {
+    if let Ok(direct) = BatchPredictRequest::from_json_bytes(bytes) {
+        prop_assert_eq!(serde_json::from_slice(bytes).ok(), Some(direct));
+    }
+    if let Ok(direct) = PredictRequest::from_json_bytes(bytes) {
+        prop_assert_eq!(serde_json::from_slice(bytes).ok(), Some(direct));
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn decoder_equals_serde_on_writer_output(
+        entries in prop::collection::vec(arb_predict_request(), 0..12),
+        ws in prop::collection::vec(0u8..7, 1..16),
+        rotate in 0usize..4,
+        nulls in any::<bool>(),
+    ) {
+        let breq = BatchPredictRequest { entries };
+        let direct = breq.to_json_bytes();
+        let generic = serde_json::to_vec(&breq).unwrap();
+        let perturbed = Perturb::render(ws.clone(), rotate, nulls, &direct);
+        for bytes in [direct, generic, perturbed] {
+            let decoded = BatchPredictRequest::from_json_bytes(&bytes);
+            prop_assert_eq!(&decoded, &Ok(breq.clone()), "{}", String::from_utf8_lossy(&bytes));
+            prop_assert_eq!(decoded.ok(), serde_json::from_slice(&bytes).ok());
+        }
+        for entry in &breq.entries {
+            let generic = serde_json::to_vec(entry).unwrap();
+            let perturbed = Perturb::render(ws.clone(), rotate, nulls, &generic);
+            for bytes in [generic, perturbed] {
+                let decoded = PredictRequest::from_json_bytes(&bytes);
+                prop_assert_eq!(&decoded, &Ok(entry.clone()), "{}", String::from_utf8_lossy(&bytes));
+                prop_assert_eq!(decoded.ok(), serde_json::from_slice(&bytes).ok());
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn decoder_accepts_only_what_serde_decodes_alike(
+        entries in prop::collection::vec(arb_predict_request(), 1..4),
+        edits in prop::collection::vec((0usize..4, any::<usize>(), any::<usize>()), 1..4),
+    ) {
+        let first = entries[0].clone();
+        let mut batch = BatchPredictRequest { entries }.to_json_bytes();
+        mutate(&mut batch, &edits);
+        decoder_is_sound_on(&batch)?;
+        let mut single = serde_json::to_vec(&first).unwrap();
+        mutate(&mut single, &edits);
+        decoder_is_sound_on(&single)?;
+    }
+}
+
+fn decode_one(body: &str) -> Result<PredictRequest, DecodeError> {
+    PredictRequest::from_json_bytes(body.as_bytes())
+}
+
+#[test]
+fn decoder_refuses_unknown_duplicate_and_escaped_keys_and_trailing_bytes() {
+    let ok = r#"{"session_id":1,"horizon":2}"#;
+    assert!(decode_one(ok).is_ok());
+    // Stricter than serde, which ignores an unknown key, keeps the first
+    // of two duplicates, and unescapes a key to `session_id`.
+    for body in [
+        r#"{"session_id":1,"horizon":2,"extra":0}"#,
+        r#"{"session_id":1,"session_id":2,"horizon":2}"#,
+        r#"{"session_id":1,"features":null,"features":[0],"horizon":2}"#,
+        r#"{"session\u005fid":1,"horizon":2}"#,
+    ] {
+        assert!(
+            serde_json::from_str::<PredictRequest>(body).is_ok(),
+            "{body}"
+        );
+        assert_eq!(decode_one(body), Err(DecodeError::Malformed), "{body}");
+    }
+    for body in [
+        r#"{"session_id":1,"horizon":2} x"#,
+        r#"{"session_id":1,"horizon":2}{}"#,
+        r#"{"session_id":1,"horizon":2"#,
+        r#"{"session_id":1}"#,
+        r#"{"session_id":1,"horizon":2,}"#,
+        "",
+    ] {
+        assert_eq!(decode_one(body), Err(DecodeError::Malformed), "{body}");
+    }
+    for body in [
+        r#"{"entries":[],"entries":[]}"#,
+        r#"{"entries":[],"more":1}"#,
+        r#"{"entries":[]} ]"#,
+        r#"{"entries":null}"#,
+        "{}",
+    ] {
+        assert_eq!(
+            BatchPredictRequest::from_json_bytes(body.as_bytes()),
+            Err(DecodeError::Malformed),
+            "{body}"
+        );
+    }
+    // Whitespace around every token is fine, as it is for serde.
+    let spaced = " {\n\t\"entries\" : [ {\"horizon\" :1 , \"session_id\":3} ] }\r\n";
+    assert_eq!(
+        BatchPredictRequest::from_json_bytes(spaced.as_bytes()),
+        serde_json::from_str(spaced).map_err(|_| DecodeError::Malformed)
+    );
+}
+
+#[test]
+fn decoder_stops_at_the_first_entry_past_the_cap() {
+    let frame = |n: usize| {
+        BatchPredictRequest {
+            entries: (0..n as u64)
+                .map(|i| PredictRequest {
+                    session_id: i,
+                    features: None,
+                    measured_mbps: Some(1.0),
+                    horizon: 1,
+                })
+                .collect(),
+        }
+        .to_json_bytes()
+    };
+    let at_cap = BatchPredictRequest::from_json_bytes(&frame(MAX_BATCH_ENTRIES)).unwrap();
+    assert_eq!(at_cap.entries.len(), MAX_BATCH_ENTRIES);
+    assert_eq!(
+        BatchPredictRequest::from_json_bytes(&frame(MAX_BATCH_ENTRIES + 1)),
+        Err(DecodeError::TooManyEntries)
+    );
+    // Stopped, not parsed whole: what follows the 1025th entry's start
+    // is never looked at.
+    let mut truncated = frame(MAX_BATCH_ENTRIES + 1);
+    truncated.truncate(truncated.len() - 20);
+    assert_eq!(
+        BatchPredictRequest::from_json_bytes(&truncated),
+        Err(DecodeError::TooManyEntries)
+    );
+}
+
+#[test]
+fn decoder_numbers_follow_the_vendored_parser() {
+    let max = decode_one(&format!(r#"{{"session_id":{},"horizon":1}}"#, u64::MAX)).unwrap();
+    assert_eq!(max.session_id, u64::MAX);
+    let over = format!(r#"{{"session_id":{}0,"horizon":1}}"#, u64::MAX);
+    assert_eq!(decode_one(&over), Err(DecodeError::Malformed));
+    assert_eq!(
+        decode_one(r#"{"session_id":-1,"horizon":1}"#),
+        Err(DecodeError::Malformed)
+    );
+
+    // `-0` is an integer token: it decodes to +0.0, not -0.0.
+    let body = r#"{"session_id":1,"measured_mbps":-0,"horizon":1}"#;
+    let zero = decode_one(body).unwrap().measured_mbps.unwrap();
+    assert_eq!(zero.to_bits(), 0.0f64.to_bits());
+    let reference: PredictRequest = serde_json::from_str(body).unwrap();
+    assert_eq!(reference.measured_mbps.unwrap().to_bits(), zero.to_bits());
+    // A float token keeps its sign.
+    let body = r#"{"session_id":1,"measured_mbps":-0.0,"horizon":1}"#;
+    assert!(decode_one(body)
+        .unwrap()
+        .measured_mbps
+        .unwrap()
+        .is_sign_negative());
+
+    let body = r#"{"session_id":1,"measured_mbps":3,"horizon":1}"#;
+    assert_eq!(decode_one(body).unwrap().measured_mbps, Some(3.0));
+    let body = r#"{"session_id":1,"measured_mbps":null,"horizon":1}"#;
+    assert_eq!(decode_one(body).unwrap().measured_mbps, None);
+
+    for horizon in ["5.0", "1e2", "-1", "+1", "\"5\"", "null"] {
+        let body = format!(r#"{{"session_id":1,"horizon":{horizon}}}"#);
+        assert_eq!(decode_one(&body), Err(DecodeError::Malformed), "{body}");
+        assert!(
+            serde_json::from_str::<PredictRequest>(&body).is_err(),
+            "{body}"
+        );
+    }
+    let body = r#"{"session_id":1,"features":[4294967296],"horizon":1}"#;
+    assert_eq!(decode_one(body), Err(DecodeError::Malformed));
 }
 
 // ---------------------------------------------------------------------------
