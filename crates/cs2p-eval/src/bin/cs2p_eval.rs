@@ -6,7 +6,7 @@
 //! cs2p-eval all          # run everything
 //! cs2p-eval --small --metrics out.jsonl   # default smoke set + telemetry
 //! cs2p-eval serve-bench  [--metrics out.jsonl]   # serving telemetry capture
-//! cs2p-eval chaos-bench  [--metrics out.jsonl]   # fault recovery table
+//! cs2p-eval chaos-bench  [--metrics out.jsonl]   # fault telemetry capture
 //! cs2p-eval refresh-bench [--metrics out.jsonl]  # stale vs refreshed model table
 //! cs2p-eval persist-bench [--metrics out.jsonl]  # durable-server telemetry capture
 //! cs2p-eval degradation-bench [--metrics out.jsonl]  # ladder vs pure-503 QoE table
@@ -18,12 +18,13 @@
 //! record to the given JSONL file (schema in `OBSERVABILITY.md`), closing
 //! with a full metric snapshot. `--profile` prints a per-stage wall-time
 //! table built from the span histograms. `serve-bench` skips material
-//! preparation and drives the prediction server with the deterministic
-//! load generator (singleton and batched phases) for the sake of the
+//! preparation and drives the prediction server with the testkit's one
+//! seeded load driver (singleton and batched phases) for the sake of the
 //! `--metrics` capture; it prints accounting and times nothing — serving
-//! performance is `perf/`'s job. `chaos-bench` likewise skips material
-//! preparation and reports recovery latency/success per injected fault
-//! class (see TESTING.md). `refresh-bench` generates its own drifting
+//! performance is `perf/`'s job. `chaos-bench` is the same kind of
+//! capture over the same driver with seeded faults and forced evictions
+//! as its input: it prints the fired-fault tally per class and the
+//! recovery ledger, and times nothing (see TESTING.md). `refresh-bench` generates its own drifting
 //! world and compares a stale launch model against the daily warm-start
 //! refresh pipeline (see DESIGN.md §3c). `persist-bench` is the same capture
 //! against the durable server at both commit cadences, with the WAL's
@@ -63,8 +64,8 @@ fn usage() -> ExitCode {
         "usage: cs2p-eval [experiment|all] [--sessions N] [--seed S] [--small] \
          [--metrics out.jsonl] [--profile]"
     );
-    eprintln!("       cs2p-eval serve-bench [--metrics out.jsonl]");
-    eprintln!("       cs2p-eval chaos-bench [--metrics out.jsonl]");
+    eprintln!("       cs2p-eval serve-bench [--metrics out.jsonl]   # serving telemetry capture");
+    eprintln!("       cs2p-eval chaos-bench [--metrics out.jsonl]   # fault telemetry capture");
     eprintln!("       cs2p-eval refresh-bench [--metrics out.jsonl]");
     eprintln!("       cs2p-eval persist-bench [--metrics out.jsonl]");
     eprintln!("       cs2p-eval degradation-bench [--metrics out.jsonl]");

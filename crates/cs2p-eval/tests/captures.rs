@@ -5,7 +5,8 @@
 //! (`serve.*`, `client.*`, `trace_id`). A bench subcommand that stops
 //! producing a record family, or two same-seed runs that drift apart,
 //! fail here. The benches' own in-code certificates (the ladder beating
-//! pure-503 shedding, Fallback equal to the harmonic mean) run too.
+//! pure-503 shedding, Fallback equal to the harmonic mean, the chaos
+//! ledger's one re-registration per forced eviction) run too.
 
 use cs2p_testkit::crash::TempDir;
 use std::path::Path;
@@ -122,18 +123,7 @@ fn serve_and_persist_captures_pass_the_ci_gates() {
 #[test]
 fn chaos_capture_carries_fault_and_retry_telemetry() {
     let dir = TempDir::new("chaos-capture");
-    let dir = dir.path();
-    eval(dir, &["chaos-bench", "--metrics", "chaos.jsonl"]);
-    eval(
-        dir,
-        &[
-            "validate-metrics",
-            "chaos.jsonl",
-            "--require",
-            "serve,client,net",
-        ],
-    );
-    let chaos = std::fs::read_to_string(dir.join("chaos.jsonl")).expect("read chaos capture");
+    let chaos = twice_reproducible(dir.path(), "chaos-bench", "chaos", "serve,client,net");
     assert_families(&chaos, &["serve.fault.", "client.retry."]);
 }
 

@@ -134,12 +134,12 @@ fn soak_one_seed(seed: u64) -> (u64, usize) {
     // nothing was shed (the queue is sized for the workload).
     assert_eq!(report.gave_up, 0, "seed {seed}: requests abandoned");
     assert_eq!(d_giveups, 0, "seed {seed}: client send() gave up");
-    assert_eq!(report.load.errors, 0, "seed {seed}");
-    assert_eq!(report.load.rejected, 0, "seed {seed}");
+    assert_eq!(report.errors, 0, "seed {seed}");
+    assert_eq!(report.rejected, 0, "seed {seed}");
     assert_eq!(stats.rejected, 0, "seed {seed}");
     for s in 0..config.load.n_sessions as u64 {
         let id = config.load.session_id_base + s;
-        let preds = report.load.predictions.get(&id).map_or(0, Vec::len);
+        let preds = report.predictions.get(&id).map_or(0, Vec::len);
         assert_eq!(
             preds, config.load.epochs_per_session,
             "seed {seed}: session {id} lost predictions"
@@ -148,8 +148,8 @@ fn soak_one_seed(seed: u64) -> (u64, usize) {
     // Request conservation: every sent request is accounted to exactly
     // one outcome.
     assert_eq!(
-        report.load.sent,
-        report.load.ok + report.load.reinit + report.load.rejected + report.error_statuses,
+        report.sent,
+        report.ok + report.reinit + report.rejected + report.error_statuses,
         "seed {seed}: request ledger out of balance"
     );
 
@@ -184,7 +184,7 @@ fn soak_one_seed(seed: u64) -> (u64, usize) {
     );
     assert_eq!(d_evictions, report.forced_evictions, "seed {seed}");
     assert_eq!(
-        report.load.reinit, report.forced_evictions,
+        report.reinit, report.forced_evictions,
         "seed {seed}: every forced eviction re-registers exactly once"
     );
     assert_eq!(
@@ -216,7 +216,7 @@ fn soak_one_seed(seed: u64) -> (u64, usize) {
     // bit-identical to the golden run.
     for &id in &report.clean_sessions {
         assert_eq!(
-            report.load.predictions.get(&id),
+            report.predictions.get(&id),
             golden.predictions.get(&id),
             "seed {seed}: clean session {id} diverged from fault-free run"
         );
@@ -243,10 +243,10 @@ fn soak_one_seed(seed: u64) -> (u64, usize) {
 /// fault-free run: clean sessions must be bit-identical across the
 /// framing change AND the fault schedule simultaneously.
 ///
-/// The batched ledger differs from the singleton one: a frame-level
-/// 503/400 books one `rejected`/`error_statuses` without a `sent`
-/// (nothing was applied), while per-entry 404s replay as singletons
-/// that book their own sends. What stays exact: every logical entry
+/// The batched ledger differs from the singleton one: a frame-level 400
+/// books one `error_statuses` but a `sent` per entry (nothing was
+/// applied), while per-entry 404s replay as singletons that book their
+/// own sends. What stays exact: every logical entry
 /// yields exactly one `ok`, every corruption exactly one client-visible
 /// error status, every forced eviction exactly one re-registration.
 fn batched_soak_one_seed(seed: u64) -> (u64, u64) {
@@ -307,12 +307,12 @@ fn batched_soak_one_seed(seed: u64) -> (u64, u64) {
     // Liveness: every frame was eventually answered, nothing abandoned.
     assert_eq!(report.gave_up, 0, "seed {seed}: batch frames abandoned");
     assert_eq!(d_giveups, 0, "seed {seed}: client send() gave up");
-    assert_eq!(report.load.errors, 0, "seed {seed}");
-    assert_eq!(report.load.rejected, 0, "seed {seed}");
+    assert_eq!(report.errors, 0, "seed {seed}");
+    assert_eq!(report.rejected, 0, "seed {seed}");
     assert_eq!(stats.rejected, 0, "seed {seed}");
     for s in 0..config.load.n_sessions as u64 {
         let id = config.load.session_id_base + s;
-        let preds = report.load.predictions.get(&id).map_or(0, Vec::len);
+        let preds = report.predictions.get(&id).map_or(0, Vec::len);
         assert_eq!(
             preds, config.load.epochs_per_session,
             "seed {seed}: session {id} lost predictions in batched chaos"
@@ -322,16 +322,16 @@ fn batched_soak_one_seed(seed: u64) -> (u64, u64) {
     // success, whether in-frame or via a per-entry-404 singleton replay.
     let total_entries = (config.load.n_sessions * config.load.epochs_per_session) as u64;
     assert_eq!(
-        report.load.ok, total_entries,
+        report.ok, total_entries,
         "seed {seed}: entry ledger out of balance"
     );
     // Replays only ever *add* sends on top of the framed entries.
     assert!(
-        report.load.sent >= report.load.ok + report.load.reinit,
+        report.sent >= report.ok + report.reinit,
         "seed {seed}: sent {} < ok {} + reinit {}",
-        report.load.sent,
-        report.load.ok,
-        report.load.reinit
+        report.sent,
+        report.ok,
+        report.reinit
     );
     // The server really was driven through the batch path, and its
     // entry meter matches frame arithmetic: applied frames account all
@@ -374,7 +374,7 @@ fn batched_soak_one_seed(seed: u64) -> (u64, u64) {
     );
     assert_eq!(d_evictions, report.forced_evictions, "seed {seed}");
     assert_eq!(
-        report.load.reinit, report.forced_evictions,
+        report.reinit, report.forced_evictions,
         "seed {seed}: every forced eviction re-registers exactly once"
     );
     assert_eq!(
@@ -395,7 +395,7 @@ fn batched_soak_one_seed(seed: u64) -> (u64, u64) {
     // golden run.
     for &id in &report.clean_sessions {
         assert_eq!(
-            report.load.predictions.get(&id),
+            report.predictions.get(&id),
             golden.predictions.get(&id),
             "seed {seed}: clean batched session {id} diverged from singleton golden"
         );
@@ -520,20 +520,20 @@ fn refresh_chaos_one_seed(seed: u64) -> u64 {
     // Liveness with swaps in the mix: nothing abandoned, nothing shed.
     assert_eq!(report.gave_up, 0, "seed {seed}: requests abandoned");
     assert_eq!(d_giveups, 0, "seed {seed}: client send() gave up");
-    assert_eq!(report.load.errors, 0, "seed {seed}");
-    assert_eq!(report.load.rejected, 0, "seed {seed}");
+    assert_eq!(report.errors, 0, "seed {seed}");
+    assert_eq!(report.rejected, 0, "seed {seed}");
     assert_eq!(stats.rejected, 0, "seed {seed}");
     for s in 0..config.load.n_sessions as u64 {
         let id = config.load.session_id_base + s;
-        let preds = report.load.predictions.get(&id).map_or(0, Vec::len);
+        let preds = report.predictions.get(&id).map_or(0, Vec::len);
         assert_eq!(
             preds, config.load.epochs_per_session,
             "seed {seed}: session {id} lost predictions under swaps"
         );
     }
     assert_eq!(
-        report.load.sent,
-        report.load.ok + report.load.reinit + report.load.rejected + report.error_statuses,
+        report.sent,
+        report.ok + report.reinit + report.rejected + report.error_statuses,
         "seed {seed}: request ledger out of balance under swaps"
     );
 
@@ -550,7 +550,7 @@ fn refresh_chaos_one_seed(seed: u64) -> u64 {
         fired.transport_failures()
     );
     assert_eq!(d_evictions, report.forced_evictions, "seed {seed}");
-    assert_eq!(report.load.reinit, report.forced_evictions, "seed {seed}");
+    assert_eq!(report.reinit, report.forced_evictions, "seed {seed}");
     assert_eq!(
         stats.sessions_evicted, report.forced_evictions,
         "seed {seed}: only forced evictions may evict (no TTL, huge cap)"

@@ -26,21 +26,17 @@
 //! [`cs2p_net::ServerHandle::force_evict`] rather than the transport and
 //! are scheduled by [`run_chaos`].
 //!
-//! [`run_chaos`] drives the loadgen workload (same payloads, same
-//! round-robin session partitioning as [`crate::loadgen::run_load`])
-//! through seeded per-client fault plans with the production client
-//! retry path, and returns a [`ChaosReport`] with everything the
-//! `chaos_soak` suite needs to check the invariants. Thresholds in
+//! [`run_chaos`] is the load generator ([`crate::loadgen`]) with faults
+//! as an input: a [`ChaosConfig`] picks the chaotic clients, their seeded
+//! plans and the forced evictions, and the driver's resend rules run the
+//! production client retry path. Its [`LoadReport`] carries everything
+//! the `chaos_soak` suite needs to check the invariants. Thresholds in
 //! seeded plans are kept below the size of the first request/response on
 //! a connection, so an armed error fault always fires mid-frame — never
 //! ambiguously at a frame boundary.
 
 use crate::loadgen::{LoadConfig, LoadReport};
-use cs2p_net::http::Request;
-use cs2p_net::protocol::{
-    BatchPredictRequest, BatchPredictResponse, PredictRequest, PredictResponse,
-};
-use cs2p_net::{BoxTransport, HttpClient, RetryPolicy, ServerHandle, TransportWrapper};
+use cs2p_net::{BoxTransport, RetryPolicy, ServerHandle, TransportWrapper};
 use cs2p_obs::ManualClock;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -454,372 +450,30 @@ impl Default for ChaosConfig {
     }
 }
 
-/// What a [`run_chaos`] run did and saw, with everything needed for the
-/// fault-accounting identity.
-#[derive(Debug, Clone, Default)]
-pub struct ChaosReport {
-    /// Per-request outcomes and per-session predictions (same shape as a
-    /// loadgen report).
-    pub load: LoadReport,
-    /// Error statuses (400/405) observed — each corresponds to one fired
-    /// corruption.
-    pub error_statuses: u64,
-    /// `force_evict` calls that actually evicted a session.
-    pub forced_evictions: u64,
-    /// Requests abandoned after exhausting every retry layer.
-    pub gave_up: u64,
-    /// Client indices that ran with a fault plan.
-    pub chaotic_clients: Vec<usize>,
-    /// Sessions owned by clean clients — these must be bit-identical to
-    /// a fault-free run.
-    pub clean_sessions: Vec<u64>,
-    /// Fired-fault counts across all clients.
-    pub fired: FaultCounts,
+impl ChaosConfig {
+    /// Client `idx`'s seeded fault plan, or `None` when the seeded
+    /// chaotic-client draw leaves that client clean.
+    pub(crate) fn plan_for(&self, idx: usize) -> Option<FaultPlan> {
+        let (seed, idx) = (self.load.seed, idx as u64);
+        let mut draw = ChaCha8Rng::seed_from_u64(seed ^ idx.wrapping_mul(0xC4A0_5EED_0000_0001));
+        (draw.gen_range(0..100u8) < self.chaotic_client_percent).then(|| {
+            FaultPlan::seeded(
+                seed ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                self.faulty_conns_per_client,
+                self.fault_chance_percent,
+            )
+        })
+    }
 }
 
-/// Hard cap on harness-level resends of one logical request (on top of
-/// the client's own transport retries).
-const MAX_HARNESS_ATTEMPTS: u32 = 8;
-
-/// Runs the loadgen workload against `server` with seeded per-client
-/// fault plans and forced mid-session evictions, retrying every request
-/// until it succeeds (or the attempt caps run out — counted, never
-/// panicking). Clean clients send byte-for-byte the same traffic as
+/// Runs `config.load` against `server` through the one load driver with
+/// the fault schedule as its input: seeded per-client fault plans,
+/// forced mid-session evictions, and resends until every frame is
+/// answered (or the resend budget runs out — counted, never panicking).
+/// Clean clients send byte-for-byte the same traffic as
 /// [`crate::loadgen::run_load`] with `config.load`.
-pub fn run_chaos(server: &ServerHandle, config: &ChaosConfig) -> ChaosReport {
-    let addr = server.addr();
-    let n_clients = config.load.n_clients.max(1);
-    let tally = Arc::new(FaultTally::default());
-    let chaotic: Vec<bool> = (0..n_clients)
-        .map(|idx| {
-            let mut rng = ChaCha8Rng::seed_from_u64(
-                config.load.seed ^ (idx as u64).wrapping_mul(0xC4A0_5EED_0000_0001),
-            );
-            rng.gen_range(0..100u8) < config.chaotic_client_percent
-        })
-        .collect();
-
-    let mut report = ChaosReport::default();
-    let partial: Vec<ChaosReport> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_clients)
-            .map(|idx| {
-                let tally = Arc::clone(&tally);
-                let is_chaotic = chaotic[idx];
-                scope.spawn(move || run_chaos_client(server, addr, config, idx, is_chaotic, tally))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("chaos client panicked"))
-            .collect()
-    });
-    for p in partial {
-        report.load.sent += p.load.sent;
-        report.load.ok += p.load.ok;
-        report.load.rejected += p.load.rejected;
-        report.load.reinit += p.load.reinit;
-        report.load.errors += p.load.errors;
-        report.load.predictions.extend(p.load.predictions);
-        report.error_statuses += p.error_statuses;
-        report.forced_evictions += p.forced_evictions;
-        report.gave_up += p.gave_up;
-    }
-    for (idx, &is_chaotic) in chaotic.iter().enumerate() {
-        let sessions = (0..config.load.n_sessions as u64)
-            .filter(|s| (*s as usize) % n_clients == idx)
-            .map(|s| config.load.session_id_base + s);
-        if is_chaotic {
-            report.chaotic_clients.push(idx);
-        } else {
-            report.clean_sessions.extend(sessions);
-        }
-    }
-    report.fired = tally.snapshot();
-    report
-}
-
-fn run_chaos_client(
-    server: &ServerHandle,
-    addr: std::net::SocketAddr,
-    config: &ChaosConfig,
-    client_idx: usize,
-    is_chaotic: bool,
-    tally: Arc<FaultTally>,
-) -> ChaosReport {
-    let mut report = ChaosReport::default();
-    let mut client = HttpClient::new(addr).with_retry(RetryPolicy {
-        seed: config.retry.seed ^ (client_idx as u64) << 17,
-        ..config.retry.clone()
-    });
-    if is_chaotic {
-        let plan = FaultPlan::seeded(
-            config.load.seed ^ (client_idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            config.faulty_conns_per_client,
-            config.fault_chance_percent,
-        )
-        .with_tally(tally);
-        client = client.with_transport_wrapper(Arc::new(plan));
-    }
-
-    let sessions: Vec<u64> = (0..config.load.n_sessions as u64)
-        .filter(|s| (*s as usize) % config.load.n_clients.max(1) == client_idx)
-        .map(|s| config.load.session_id_base + s)
-        .collect();
-    let observations: BTreeMap<u64, Vec<f64>> = sessions
-        .iter()
-        .map(|&id| (id, config.load.observations_of(id)))
-        .collect();
-
-    if config.load.batch.is_some() {
-        run_chaos_client_batched(
-            server,
-            config,
-            client_idx,
-            is_chaotic,
-            &mut client,
-            &sessions,
-            &observations,
-            &mut report,
-        );
-        return report;
-    }
-
-    for epoch in 0..config.load.epochs_per_session {
-        for &id in &sessions {
-            if is_chaotic && epoch > 0 && config.evict_before_epoch == Some(epoch) {
-                // Forced store eviction mid-session: the next request for
-                // this session must come back 404 and re-register.
-                if server.force_evict(id) {
-                    report.forced_evictions += 1;
-                }
-            }
-            let preq = PredictRequest {
-                session_id: id,
-                features: (epoch == 0).then(|| LoadConfig::features_of(id)),
-                measured_mbps: (epoch > 0).then(|| observations[&id][epoch - 1]),
-                horizon: config.load.horizon,
-            };
-            drive_request(&mut client, &preq, id, &mut report);
-        }
-    }
-    report
-}
-
-/// The batched chaos client: the same logical entries as the singleton
-/// path, chunked into `/predict_batch` frames by the loadgen's seeded
-/// size distribution (same seed derivation, so frame boundaries match a
-/// fault-free batched run). Faults fire *mid-frame*: a killed frame is
-/// resent whole — safe, because an error-class fault prevents the server
-/// from applying any entry (a reset mid-response can double-apply, which
-/// only chaotic sessions see, exactly like the singleton path). Forced
-/// evictions land right before the frame carrying the victim's
-/// `evict_before_epoch` entry, so the eviction surfaces as a per-entry
-/// 404 inside a 200 frame; the entry is then replayed as a singleton
-/// re-registration carrying the same measurement.
-#[allow(clippy::too_many_arguments)]
-fn run_chaos_client_batched(
-    server: &ServerHandle,
-    config: &ChaosConfig,
-    client_idx: usize,
-    is_chaotic: bool,
-    client: &mut HttpClient,
-    sessions: &[u64],
-    observations: &BTreeMap<u64, Vec<f64>>,
-    report: &mut ChaosReport,
-) {
-    let spec = config.load.batch.as_ref().expect("batched driver");
-    let lo = spec.min_entries.max(1);
-    let hi = spec.max_entries.max(lo);
-    // Same derivation as loadgen's batched mode: frame boundaries are a
-    // pure function of (seed, client index).
-    let mut sizes =
-        ChaCha8Rng::seed_from_u64(config.load.seed ^ ((client_idx as u64) << 24) ^ 0xBA7C_F3A3);
-
-    // The client's whole entry stream, epoch-major, tagged with the
-    // epoch so eviction scheduling can find the victims per frame.
-    let stream: Vec<(usize, PredictRequest)> = (0..config.load.epochs_per_session)
-        .flat_map(|epoch| {
-            sessions.iter().map(move |&id| {
-                (
-                    epoch,
-                    PredictRequest {
-                        session_id: id,
-                        features: (epoch == 0).then(|| LoadConfig::features_of(id)),
-                        measured_mbps: (epoch > 0).then(|| observations[&id][epoch - 1]),
-                        horizon: config.load.horizon,
-                    },
-                )
-            })
-        })
-        .collect();
-
-    let mut i = 0;
-    while i < stream.len() {
-        let n = sizes.gen_range(lo..=hi).min(stream.len() - i);
-        let frame = &stream[i..i + n];
-        i += n;
-
-        if is_chaotic {
-            if let Some(evict_epoch) = config.evict_before_epoch {
-                for (k, (epoch, entry)) in frame.iter().enumerate() {
-                    // Only evict when the victim has no earlier-epoch
-                    // entry in this same frame: evicting under such an
-                    // entry would 404 a request the schedule never meant
-                    // to hit, breaking the one-reinit-per-eviction
-                    // identity.
-                    let earlier_in_frame = frame[..k]
-                        .iter()
-                        .any(|(_, e)| e.session_id == entry.session_id);
-                    if *epoch == evict_epoch
-                        && !earlier_in_frame
-                        && server.force_evict(entry.session_id)
-                    {
-                        report.forced_evictions += 1;
-                    }
-                }
-            }
-        }
-        drive_batch_frame(client, frame, report);
-    }
-}
-
-/// Sends one batch frame until the server answers it 200, then books
-/// every entry: a 200 entry records its prediction; a 404 entry (the
-/// session was force-evicted) books a re-registration and replays as a
-/// singleton request carrying the same measurement plus features.
-fn drive_batch_frame(
-    client: &mut HttpClient,
-    frame: &[(usize, PredictRequest)],
-    report: &mut ChaosReport,
-) {
-    let breq = BatchPredictRequest {
-        entries: frame.iter().map(|(_, e)| e.clone()).collect(),
-    };
-    let body = breq.to_json_bytes();
-    for _ in 0..MAX_HARNESS_ATTEMPTS {
-        match client.send(&Request::new("POST", "/predict_batch", body.clone())) {
-            Ok(resp) if resp.status == 200 => {
-                let Ok(bresp) = serde_json::from_slice::<BatchPredictResponse>(&resp.body) else {
-                    report.load.errors += breq.entries.len() as u64;
-                    return;
-                };
-                if bresp.results.len() != breq.entries.len() {
-                    report.load.errors += breq.entries.len() as u64;
-                    return;
-                }
-                report.load.sent += breq.entries.len() as u64;
-                // Sessions already re-registered while booking *this*
-                // frame: their later in-frame entries were answered 404
-                // by the same response, but replaying them is a plain
-                // resend, not another re-registration.
-                let mut reregistered = std::collections::BTreeSet::new();
-                for (entry, result) in breq.entries.iter().zip(&bresp.results) {
-                    match (result.status, &result.response) {
-                        (200, Some(presp)) => {
-                            report.load.ok += 1;
-                            report
-                                .load
-                                .predictions
-                                .entry(entry.session_id)
-                                .or_default()
-                                .push(presp.predictions_mbps.clone());
-                        }
-                        (404, _) if entry.measured_mbps.is_some() => {
-                            let replay = if reregistered.insert(entry.session_id) {
-                                report.load.reinit += 1;
-                                PredictRequest {
-                                    features: Some(LoadConfig::features_of(entry.session_id)),
-                                    ..entry.clone()
-                                }
-                            } else {
-                                entry.clone()
-                            };
-                            drive_request(client, &replay, entry.session_id, report);
-                        }
-                        _ => report.load.errors += 1,
-                    }
-                }
-                return;
-            }
-            Ok(resp) if resp.status == 503 => {
-                report.load.rejected += 1;
-                client.note_backpressure();
-                client.reset_connection();
-            }
-            Ok(_) => {
-                // A corrupted frame's 400/405: the whole frame was
-                // refused unapplied — resend it on a fresh connection.
-                report.error_statuses += 1;
-                client.reset_connection();
-            }
-            Err(_) => {
-                client.reset_connection();
-            }
-        }
-    }
-    report.gave_up += 1;
-}
-
-/// Sends one logical request until it yields a 200, absorbing 404
-/// re-registration, 503 backpressure, corrupted-frame error statuses,
-/// and post-retry transport failures.
-fn drive_request(
-    client: &mut HttpClient,
-    preq: &PredictRequest,
-    id: u64,
-    report: &mut ChaosReport,
-) {
-    let mut preq = preq.clone();
-    for _ in 0..MAX_HARNESS_ATTEMPTS {
-        report.load.sent += 1;
-        let body = match serde_json::to_vec(&preq) {
-            Ok(b) => b,
-            Err(_) => {
-                report.load.errors += 1;
-                return;
-            }
-        };
-        match client.send(&Request::new("POST", "/predict", body)) {
-            Ok(resp) if resp.status == 200 => {
-                match serde_json::from_slice::<PredictResponse>(&resp.body) {
-                    Ok(presp) => {
-                        report.load.ok += 1;
-                        report
-                            .load
-                            .predictions
-                            .entry(id)
-                            .or_default()
-                            .push(presp.predictions_mbps);
-                    }
-                    Err(_) => report.load.errors += 1,
-                }
-                return;
-            }
-            Ok(resp) if resp.status == 404 && preq.measured_mbps.is_some() => {
-                // Evicted server-side: re-register, keeping the pending
-                // measurement so the fresh filter still sees it.
-                report.load.reinit += 1;
-                preq.features = Some(LoadConfig::features_of(id));
-            }
-            Ok(resp) if resp.status == 503 => {
-                report.load.rejected += 1;
-                client.note_backpressure();
-                client.reset_connection();
-            }
-            Ok(_) => {
-                // 400/405 from a corrupted frame; the server closed the
-                // connection after answering, so start a fresh one.
-                report.error_statuses += 1;
-                client.reset_connection();
-            }
-            Err(_) => {
-                // The client's own retries were exhausted (counted in
-                // client.retry.*); reconnect and try again at this layer.
-                client.reset_connection();
-            }
-        }
-    }
-    report.gave_up += 1;
+pub fn run_chaos(server: &ServerHandle, config: &ChaosConfig) -> LoadReport {
+    crate::loadgen::drive(server.addr(), &config.load, Some((server, config)))
 }
 
 #[cfg(test)]

@@ -15,14 +15,14 @@
 //!   care about — thread-count independence of training, model-bundle
 //!   round-trips, simulator determinism, concurrency-transparency of the
 //!   prediction server.
-//! - [`loadgen`]: a deterministic in-process load generator driving a
-//!   running `cs2p-net` server with K client threads and seeded
-//!   per-session workloads (see TESTING.md).
+//! - [`loadgen`]: the one deterministic load driver — K client threads
+//!   with seeded per-session workloads against a running `cs2p-net`
+//!   server, in singleton or batch frames (see TESTING.md).
 //! - [`faults`]: deterministic fault injection — a seeded [`faults::FaultPlan`]
 //!   transport wrapper (resets, truncation, corruption, dribbling,
-//!   injected delay), forced store evictions, and the
-//!   [`faults::run_chaos`] harness that drives the loadgen workload
-//!   through it for the chaos soak suites.
+//!   injected delay) and [`faults::run_chaos`], which runs the loadgen
+//!   driver with fault plans, forced store evictions and resends as its
+//!   input for the chaos soak suites.
 //! - [`crash`]: the durability crash harness — a seeded [`crash::CrashPlan`]
 //!   killing (or tearing) the WAL at exact commit points, and the
 //!   [`crash::TempDir`] scratch directory the recovery suites persist

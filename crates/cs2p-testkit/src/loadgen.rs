@@ -1,4 +1,6 @@
-//! Deterministic in-process load generator for the prediction server.
+//! Deterministic in-process load generator for the prediction server:
+//! the one driver every serving suite, chaos soak and capture sends its
+//! traffic through.
 //!
 //! Drives a running `cs2p-net` server with K client threads streaming
 //! interleaved sessions over keep-alive connections, reproducing the
@@ -10,31 +12,54 @@
 //!   sequence no matter which client thread carries it or how many
 //!   clients run;
 //! - sessions are partitioned round-robin over the clients, and each
-//!   client walks its sessions epoch-major, so per-session request
-//!   *order* is preserved while requests from different sessions
+//!   client builds its epoch-major entry stream once, so per-session
+//!   request *order* is preserved while requests from different sessions
 //!   interleave freely;
-//! - optional open-loop pacing (`max_gap_us`) draws seeded inter-request
+//! - the stream is chunked into frames by one seeded frame-size stream:
+//!   one entry per `/predict` POST by default, or ragged
+//!   `/predict_batch` frames under a [`BatchSpec`];
+//! - optional open-loop pacing (`max_gap_us`) draws seeded inter-frame
 //!   gaps, perturbing arrival timing without touching payloads.
 //!
 //! Because the server's per-session HMM state depends only on that
 //! session's own observation order, the per-session prediction sequences
 //! in [`LoadReport::predictions`] must be *bit-identical* across client
-//! counts and server worker counts — the property
+//! counts, server worker counts and framings — the property
 //! [`crate::invariants::assert_serving_concurrency_independence`] checks.
+//!
+//! Faults are an input of the same run, not a second driver:
+//! [`crate::faults::run_chaos`] adds the seeded chaotic-client draw, a
+//! seeded [`crate::faults::FaultPlan`] per chaotic client, forced
+//! evictions before one epoch, and a harness resend budget. Every frame
+//! is booked by one rule set:
+//!
+//! - a 503 is `rejected` and never resent;
+//! - a 404 on an entry without features (the session was evicted) books
+//!   one `reinit` per session per frame and replays the entry as a
+//!   singleton carrying features;
+//! - anything else is `errors` — except in a faulted run, where error
+//!   statuses (`error_statuses`) and transport failures are resent, up
+//!   to 8 sends per frame (`gave_up` past that).
 //!
 //! The generated features are `[session_id % 2]`, matching the one-column
 //! (`isp`) schema of [`crate::scenarios::tiny_engine`].
 
-use cs2p_net::http::{Request, Response};
+use crate::faults::{ChaosConfig, FaultCounts, FaultTally};
+use cs2p_net::http::Request;
 use cs2p_net::protocol::{
     BatchPredictRequest, BatchPredictResponse, Degradation, PredictRequest, PredictResponse,
 };
-use cs2p_net::HttpClient;
+use cs2p_net::{HttpClient, RetryPolicy, ServerHandle};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::SocketAddr;
+use std::sync::Arc;
 use std::time::Duration;
+
+/// Sends of one frame a faulted run allows (on top of the client's own
+/// transport retries); a clean run sends every frame once.
+const FAULTED_ATTEMPTS: u32 = 8;
 
 /// Workload shape for [`run_load`].
 #[derive(Debug, Clone)]
@@ -130,19 +155,22 @@ impl LoadConfig {
     }
 }
 
-/// What one [`run_load`] run did and saw.
+/// What one run did and saw — the same report with or without faults.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LoadReport {
-    /// Requests sent (including ones that were rejected or failed).
+    /// Entries sent, every resend and replay included (whatever their
+    /// answer).
     pub sent: u64,
-    /// 200 responses.
+    /// 200 answers.
     pub ok: u64,
-    /// 503 backpressure responses.
+    /// 503 backpressure answers (one per entry of a refused frame).
     pub rejected: u64,
-    /// 404 "unknown session" answers (the server evicted the session);
-    /// each one was followed by a re-registration request.
+    /// 404 "unknown session" answers (the server evicted the session),
+    /// one per session per frame; each was followed by a replay carrying
+    /// features.
     pub reinit: u64,
-    /// Transport errors and unexpected statuses.
+    /// Transport errors and unexpected statuses a clean run does not
+    /// resend, one per entry.
     pub errors: u64,
     /// 200 answers served at the server's Degraded ladder level
     /// (cluster-prior predictions; see `cs2p_net::AdmissionLevel`).
@@ -150,11 +178,27 @@ pub struct LoadReport {
     /// 200 answers served at the Fallback ladder level (harmonic-mean
     /// predictions from the session's own recent measurements).
     pub fallback: u64,
+    /// Whole-frame error statuses (400/405) a faulted run resent — each
+    /// corresponds to one fired corruption.
+    pub error_statuses: u64,
+    /// `force_evict` calls that actually evicted a session.
+    pub forced_evictions: u64,
+    /// Frames a faulted run abandoned after its 8 sends.
+    pub gave_up: u64,
+    /// Client indices that ran with a fault plan.
+    pub chaotic_clients: Vec<usize>,
+    /// Sessions owned by clients without a fault plan — these must be
+    /// bit-identical to a fault-free run.
+    pub clean_sessions: Vec<u64>,
+    /// Fired-fault counts across all clients.
+    pub fired: FaultCounts,
     /// Per-session prediction vectors, in that session's epoch order.
     pub predictions: BTreeMap<u64, Vec<Vec<f64>>>,
 }
 
 impl LoadReport {
+    /// Folds one client's report in (`fired` comes from the run's shared
+    /// tally, not from the clients).
     fn merge(&mut self, other: LoadReport) {
         self.sent += other.sent;
         self.ok += other.ok;
@@ -163,16 +207,12 @@ impl LoadReport {
         self.errors += other.errors;
         self.degraded += other.degraded;
         self.fallback += other.fallback;
+        self.error_statuses += other.error_statuses;
+        self.forced_evictions += other.forced_evictions;
+        self.gave_up += other.gave_up;
+        self.chaotic_clients.extend(other.chaotic_clients);
+        self.clean_sessions.extend(other.clean_sessions);
         self.predictions.extend(other.predictions);
-    }
-
-    /// Books one 200 answer's degradation provenance.
-    fn note_degradation(&mut self, degradation: Option<Degradation>) {
-        match degradation {
-            Some(Degradation::Degraded) => self.degraded += 1,
-            Some(Degradation::Fallback) => self.fallback += 1,
-            None => {}
-        }
     }
 }
 
@@ -181,226 +221,244 @@ impl LoadReport {
 /// 503s and transport errors are counted, so overload scenarios can
 /// assert on them.
 pub fn run_load(addr: SocketAddr, config: &LoadConfig) -> LoadReport {
-    let n_clients = config.n_clients.max(1);
-    let mut report = LoadReport::default();
+    drive(addr, config, None)
+}
+
+/// The driver behind [`run_load`] and [`crate::faults::run_chaos`]:
+/// `faults` carries the server to force-evict on and the fault schedule.
+pub(crate) fn drive(
+    addr: SocketAddr,
+    config: &LoadConfig,
+    faults: Option<(&ServerHandle, &ChaosConfig)>,
+) -> LoadReport {
+    let tally = Arc::new(FaultTally::default());
     let partial: Vec<LoadReport> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_clients)
-            .map(|client_idx| scope.spawn(move || run_client(addr, config, client_idx)))
+        let handles: Vec<_> = (0..config.n_clients.max(1))
+            .map(|idx| {
+                let tally = &tally;
+                scope.spawn(move || run_client(addr, config, faults, tally, idx))
+            })
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("load client panicked"))
             .collect()
     });
+    let mut report = LoadReport::default();
     for p in partial {
         report.merge(p);
     }
+    report.fired = tally.snapshot();
     report
 }
 
-fn run_client(addr: SocketAddr, config: &LoadConfig, client_idx: usize) -> LoadReport {
-    let mut client = HttpClient::new(addr);
+fn run_client(
+    addr: SocketAddr,
+    config: &LoadConfig,
+    faults: Option<(&ServerHandle, &ChaosConfig)>,
+    tally: &Arc<FaultTally>,
+    idx: usize,
+) -> LoadReport {
+    let mut http = HttpClient::new(addr);
     if let Some(trace_seed) = config.trace_seed {
         // Per-client derivation keeps the id streams disjoint while the
         // whole run stays a function of one seed.
-        client = client.with_trace_seed(trace_seed ^ ((client_idx as u64) << 17));
+        http = http.with_trace_seed(trace_seed ^ ((idx as u64) << 17));
     }
-    let mut pacing = ChaCha8Rng::seed_from_u64(config.seed ^ (client_idx as u64) << 32);
-    let mut report = LoadReport::default();
     let sessions: Vec<u64> = (0..config.n_sessions as u64)
-        .filter(|s| (*s as usize) % config.n_clients.max(1) == client_idx)
+        .filter(|s| (*s as usize) % config.n_clients.max(1) == idx)
         .map(|s| config.session_id_base + s)
         .collect();
-    let observations: BTreeMap<u64, Vec<f64>> = sessions
-        .iter()
-        .map(|&id| (id, config.observations_of(id)))
-        .collect();
-
-    if let Some(spec) = &config.batch {
-        run_client_batched(
-            &mut client,
-            config,
-            client_idx,
-            &sessions,
-            &observations,
-            spec,
-            &mut pacing,
-            &mut report,
-        );
-        return report;
-    }
-
-    for epoch in 0..config.epochs_per_session {
-        for &id in &sessions {
-            if config.max_gap_us > 0 {
-                let gap = pacing.gen_range(0..config.max_gap_us);
-                std::thread::sleep(Duration::from_micros(gap));
-            }
-            let preq = PredictRequest {
-                session_id: id,
-                features: (epoch == 0).then(|| LoadConfig::features_of(id)),
-                measured_mbps: (epoch > 0).then(|| observations[&id][epoch - 1]),
-                horizon: config.horizon,
-            };
-            report.sent += 1;
-            match post_predict(&mut client, &preq) {
-                Ok(resp) if resp.status == 200 => {
-                    match serde_json::from_slice::<PredictResponse>(&resp.body) {
-                        Ok(presp) => {
-                            report.ok += 1;
-                            report.note_degradation(presp.degradation);
-                            report
-                                .predictions
-                                .entry(id)
-                                .or_default()
-                                .push(presp.predictions_mbps);
-                        }
-                        Err(_) => report.errors += 1,
-                    }
-                }
-                Ok(resp) if resp.status == 503 => {
-                    report.rejected += 1;
-                    // The server closes a 503'd connection.
-                    client.reset_connection();
-                }
-                Ok(resp) if resp.status == 404 && epoch > 0 => {
-                    // Evicted under churn: exercise the clean re-init
-                    // path by re-registering with features.
-                    reregister(&mut client, &mut report, &preq);
-                }
-                Ok(_) => report.errors += 1,
-                Err(_) => report.errors += 1,
-            }
+    let mut report = LoadReport::default();
+    let mut evict = None;
+    let mut attempts = 1;
+    if let Some((server, chaos)) = faults {
+        http = http.with_retry(RetryPolicy {
+            seed: chaos.retry.seed ^ (idx as u64) << 17,
+            ..chaos.retry.clone()
+        });
+        if let Some(plan) = chaos.plan_for(idx) {
+            http = http.with_transport_wrapper(Arc::new(plan.with_tally(Arc::clone(tally))));
+            evict = chaos.evict_before_epoch.map(|epoch| (server, epoch));
+            report.chaotic_clients.push(idx);
         }
+        attempts = FAULTED_ATTEMPTS;
     }
-    report
-}
+    if report.chaotic_clients.is_empty() {
+        report.clean_sessions = sessions.clone();
+    }
 
-/// The batched twin of the singleton loop in `run_client`: the client's
-/// whole epoch-major entry stream is chunked into `/predict_batch`
-/// frames whose sizes come from the spec's seeded ChaCha distribution.
-/// A frame may span epochs (and then carries two entries for one
-/// session, processed server-side in frame order), so per-session entry
-/// order — and therefore the prediction sequences — is exactly the
-/// singleton run's.
-#[allow(clippy::too_many_arguments)]
-fn run_client_batched(
-    client: &mut HttpClient,
-    config: &LoadConfig,
-    client_idx: usize,
-    sessions: &[u64],
-    observations: &BTreeMap<u64, Vec<f64>>,
-    spec: &BatchSpec,
-    pacing: &mut ChaCha8Rng,
-    report: &mut LoadReport,
-) {
-    let mut sizes =
-        ChaCha8Rng::seed_from_u64(config.seed ^ ((client_idx as u64) << 24) ^ 0xBA7C_F3A3);
-    let lo = spec.min_entries.max(1);
-    let hi = spec.max_entries.max(lo);
-    let stream: Vec<(u64, usize)> = (0..config.epochs_per_session)
-        .flat_map(|epoch| sessions.iter().map(move |&id| (id, epoch)))
+    // Entry i is epoch i / sessions.len() of sessions[i % sessions.len()].
+    let observations: Vec<Vec<f64>> = sessions
+        .iter()
+        .map(|&id| config.observations_of(id))
         .collect();
+    let stream: Vec<PredictRequest> = (0..config.epochs_per_session)
+        .flat_map(|epoch| {
+            sessions
+                .iter()
+                .zip(&observations)
+                .map(move |(&id, obs)| PredictRequest {
+                    session_id: id,
+                    features: (epoch == 0).then(|| LoadConfig::features_of(id)),
+                    measured_mbps: epoch.checked_sub(1).map(|e| obs[e]),
+                    horizon: config.horizon,
+                })
+        })
+        .collect();
+    // Frame boundaries are a pure function of (seed, client index), drawn
+    // from their own stream so they never perturb payloads or pacing.
+    let mut sizes = ChaCha8Rng::seed_from_u64(config.seed ^ ((idx as u64) << 24) ^ 0xBA7C_F3A3);
+    let (lo, hi) = config.batch.as_ref().map_or((1, 1), |spec| {
+        let lo = spec.min_entries.max(1);
+        (lo, spec.max_entries.max(lo))
+    });
+    let mut pacing = ChaCha8Rng::seed_from_u64(config.seed ^ (idx as u64) << 32);
+    let mut client = Client {
+        http,
+        attempts,
+        report,
+    };
 
     let mut i = 0;
     while i < stream.len() {
-        let n = sizes.gen_range(lo..=hi).min(stream.len() - i);
-        let entries: Vec<PredictRequest> = stream[i..i + n]
-            .iter()
-            .map(|&(id, epoch)| PredictRequest {
-                session_id: id,
-                features: (epoch == 0).then(|| LoadConfig::features_of(id)),
-                measured_mbps: (epoch > 0).then(|| observations[&id][epoch - 1]),
-                horizon: config.horizon,
-            })
-            .collect();
-        i += n;
+        let frame = &stream[i..(i + sizes.gen_range(lo..=hi)).min(stream.len())];
         if config.max_gap_us > 0 {
             let gap = pacing.gen_range(0..config.max_gap_us);
             std::thread::sleep(Duration::from_micros(gap));
         }
-        report.sent += n as u64;
-        let breq = BatchPredictRequest { entries };
-        // Direct writer: one preallocated buffer, no serde Value tree.
-        let body = breq.to_json_bytes();
-        let entries = breq.entries;
-        match client.send(&Request::new("POST", "/predict_batch", body)) {
-            Ok(resp) if resp.status == 200 => {
-                match serde_json::from_slice::<BatchPredictResponse>(&resp.body) {
-                    Ok(bresp) if bresp.results.len() == entries.len() => {
-                        for (preq, r) in entries.iter().zip(&bresp.results) {
-                            match (r.status, &r.response) {
-                                (200, Some(presp)) => {
-                                    report.ok += 1;
-                                    report.note_degradation(presp.degradation);
-                                    report
-                                        .predictions
-                                        .entry(preq.session_id)
-                                        .or_default()
-                                        .push(presp.predictions_mbps.clone());
-                                }
-                                // 404 on a non-registration entry:
-                                // evicted under churn; replay it with
-                                // features, like the singleton path.
-                                (404, _) if preq.features.is_none() => {
-                                    reregister(client, report, preq);
-                                }
-                                _ => report.errors += 1,
-                            }
-                        }
-                    }
-                    _ => report.errors += n as u64,
+        if let Some((server, evict_epoch)) = evict {
+            for (k, entry) in frame.iter().enumerate() {
+                // Evict right before the frame carrying the victim's
+                // `evict_epoch` entry — unless an earlier entry of the
+                // victim rides in the same frame: that one would 404, a
+                // request the schedule never meant to hit, breaking the
+                // one-reinit-per-eviction identity.
+                let first_in_frame = frame[..k].iter().all(|e| e.session_id != entry.session_id);
+                if (i + k) / sessions.len() == evict_epoch
+                    && first_in_frame
+                    && server.force_evict(entry.session_id)
+                {
+                    client.report.forced_evictions += 1;
                 }
             }
-            Ok(resp) if resp.status == 503 => {
-                // Whole-frame backpressure: the server rejected it
-                // before touching any entry, and closed the connection.
-                report.rejected += n as u64;
-                client.reset_connection();
+        }
+        i += frame.len();
+        client.send(frame, config.batch.is_some());
+    }
+    client.report
+}
+
+/// One client thread's connection and ledger.
+struct Client {
+    http: HttpClient,
+    /// Sends allowed per frame: [`FAULTED_ATTEMPTS`] in a faulted run.
+    attempts: u32,
+    report: LoadReport,
+}
+
+impl Client {
+    /// Sends one frame — as `/predict_batch` when `batched`, else its one
+    /// entry as `/predict` — and books the answer by the module's rules.
+    fn send(&mut self, frame: &[PredictRequest], batched: bool) {
+        let n = frame.len() as u64;
+        let req = if batched {
+            let entries = frame.to_vec();
+            let body = BatchPredictRequest { entries }.to_json_bytes();
+            Request::new("POST", "/predict_batch", body)
+        } else {
+            let body = serde_json::to_vec(&frame[0]).expect("a PredictRequest always serializes");
+            Request::new("POST", "/predict", body)
+        };
+        for _ in 0..self.attempts {
+            self.report.sent += n;
+            let answers = match self.http.send(&req) {
+                Ok(resp) if resp.status == 503 => {
+                    self.report.rejected += n;
+                    // The server closes a 503'd connection.
+                    self.http.reset_connection();
+                    return;
+                }
+                Ok(resp) if resp.status == 200 && batched => {
+                    serde_json::from_slice::<BatchPredictResponse>(&resp.body)
+                        .ok()
+                        .map(|b| {
+                            b.results
+                                .into_iter()
+                                .map(|r| (r.status, r.response))
+                                .collect()
+                        })
+                }
+                Ok(resp) if resp.status == 200 => {
+                    serde_json::from_slice::<PredictResponse>(&resp.body)
+                        .ok()
+                        .map(|p| vec![(200, Some(p))])
+                }
+                Ok(resp) if resp.status == 404 && !batched => Some(vec![(404, None)]),
+                _ if self.attempts == 1 => None,
+                Ok(_) => {
+                    // A corrupted frame's 400/405: refused unapplied, and
+                    // the server closed the connection after answering.
+                    self.report.error_statuses += 1;
+                    self.http.reset_connection();
+                    continue;
+                }
+                Err(_) => {
+                    // The client's own retries ran out; reconnect and
+                    // resend at this layer.
+                    self.http.reset_connection();
+                    continue;
+                }
+            };
+            match answers {
+                Some(answers) if answers.len() == frame.len() => self.book(frame, answers),
+                _ => self.report.errors += n,
             }
-            _ => report.errors += n as u64,
+            return;
+        }
+        self.report.gave_up += 1;
+    }
+
+    /// Books a frame's per-entry answers. The first 404 of an evicted
+    /// session books its `reinit` and replays with features; a later
+    /// entry of that session in the same frame replays as sent.
+    fn book(&mut self, frame: &[PredictRequest], answers: Vec<(u16, Option<PredictResponse>)>) {
+        let mut reregistered = BTreeSet::new();
+        for (entry, answer) in frame.iter().zip(answers) {
+            match answer {
+                (200, Some(presp)) => {
+                    self.report.ok += 1;
+                    match presp.degradation {
+                        Some(Degradation::Degraded) => self.report.degraded += 1,
+                        Some(Degradation::Fallback) => self.report.fallback += 1,
+                        None => {}
+                    }
+                    self.report
+                        .predictions
+                        .entry(entry.session_id)
+                        .or_default()
+                        .push(presp.predictions_mbps);
+                }
+                (404, _) if entry.features.is_none() => {
+                    let mut replay = entry.clone();
+                    if reregistered.insert(entry.session_id) {
+                        self.report.reinit += 1;
+                        replay.features = Some(LoadConfig::features_of(entry.session_id));
+                    }
+                    self.send(std::slice::from_ref(&replay), false);
+                }
+                _ => self.report.errors += 1,
+            }
         }
     }
-}
-
-/// Replays one evicted entry as a singleton `/predict` carrying
-/// features, counting the 404 as a `reinit` and the replay as a fresh
-/// `sent` request.
-fn reregister(client: &mut HttpClient, report: &mut LoadReport, preq: &PredictRequest) {
-    report.reinit += 1;
-    let re = PredictRequest {
-        features: Some(LoadConfig::features_of(preq.session_id)),
-        ..preq.clone()
-    };
-    report.sent += 1;
-    match post_predict(client, &re) {
-        Ok(r2) if r2.status == 200 => match serde_json::from_slice::<PredictResponse>(&r2.body) {
-            Ok(presp) => {
-                report.ok += 1;
-                report.note_degradation(presp.degradation);
-                report
-                    .predictions
-                    .entry(preq.session_id)
-                    .or_default()
-                    .push(presp.predictions_mbps);
-            }
-            Err(_) => report.errors += 1,
-        },
-        _ => report.errors += 1,
-    }
-}
-
-fn post_predict(client: &mut HttpClient, preq: &PredictRequest) -> std::io::Result<Response> {
-    let body = serde_json::to_vec(preq)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    client.send(&Request::new("POST", "/predict", body))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::run_chaos;
     use crate::scenarios::tiny_engine;
-    use cs2p_net::serve;
+    use cs2p_net::{serve, serve_with, AdmissionLevel, ServeConfig};
 
     #[test]
     fn workload_payloads_are_deterministic() {
@@ -510,5 +568,62 @@ mod tests {
         assert_eq!(a.predictions, b.predictions);
         server.shutdown();
         server2.shutdown();
+    }
+
+    #[test]
+    fn faults_configured_but_none_drawn_return_the_clean_report() {
+        // Faults are an input of the one driver: a schedule that draws no
+        // chaotic client and evicts nothing must not move one counter or
+        // one prediction, under singleton and ragged batch framing.
+        for batch in [
+            None,
+            Some(BatchSpec {
+                min_entries: 1,
+                max_entries: 7,
+            }),
+        ] {
+            let load = LoadConfig {
+                n_clients: 2,
+                n_sessions: 6,
+                epochs_per_session: 4,
+                batch,
+                ..LoadConfig::default()
+            };
+            let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
+            let clean = run_load(server.addr(), &load);
+            server.shutdown();
+            let chaos = ChaosConfig {
+                load: load.clone(),
+                chaotic_client_percent: 0,
+                evict_before_epoch: None,
+                ..ChaosConfig::default()
+            };
+            let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
+            let faulted = run_chaos(&server, &chaos);
+            server.shutdown();
+            assert_eq!(clean.ok, load.total_requests(), "{:?}", load.batch);
+            assert_eq!(faulted, clean, "{:?}", load.batch);
+        }
+    }
+
+    #[test]
+    fn faulted_run_books_degraded_answers() {
+        // One merge carries every counter: a faulted, evicting run against
+        // a server pinned at Degraded books each 200 as degraded.
+        let config = ServeConfig {
+            io_timeout: Duration::from_millis(150),
+            ..ServeConfig::default()
+        };
+        let server = serve_with(tiny_engine(), "127.0.0.1:0", config).unwrap();
+        server.force_admission_level(Some(AdmissionLevel::Degraded));
+        let chaos = ChaosConfig {
+            chaotic_client_percent: 100,
+            ..ChaosConfig::default()
+        };
+        let report = run_chaos(&server, &chaos);
+        server.shutdown();
+        assert!(report.forced_evictions > 0, "{report:?}");
+        assert!(report.ok > 0, "{report:?}");
+        assert_eq!(report.degraded, report.ok, "{report:?}");
     }
 }
