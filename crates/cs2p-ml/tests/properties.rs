@@ -1,7 +1,7 @@
 //! Property-based tests over the ML substrate's core invariants.
 
 use cs2p_ml::gaussian::Gaussian;
-use cs2p_ml::hmm::{train, Emission, Hmm, TrainConfig};
+use cs2p_ml::hmm::{train, Emission, FilterState, Hmm, TrainConfig};
 use cs2p_ml::matrix::Matrix;
 use cs2p_ml::stats;
 use proptest::prelude::*;
@@ -105,6 +105,29 @@ proptest! {
         let pred = f.predict_next();
         let means: Vec<f64> = hmm.emissions.iter().map(|e| e.mean()).collect();
         prop_assert!(means.iter().any(|m| (m - pred).abs() < 1e-9));
+    }
+
+    /// Eq. 8 bounds what a server ever sends: every step of every horizon
+    /// window, before and after each observation, is bit-equal to one of
+    /// the emission means.
+    #[test]
+    fn predict_horizon_outputs_are_emission_means_bit_for_bit(
+        hmm in arb_hmm(),
+        obs in throughputs(),
+        horizon in 1usize..12,
+    ) {
+        let means: Vec<u64> = hmm.emissions.iter().map(|e| e.mean().to_bits()).collect();
+        let mut state = FilterState::new(&hmm);
+        let mut out = vec![f64::NAN; horizon];
+        for w in std::iter::once(None).chain(obs.into_iter().map(Some)) {
+            if let Some(w) = w {
+                state.observe(&hmm, w);
+            }
+            state.predict_horizon(&hmm, &mut out);
+            for p in &out {
+                prop_assert!(means.contains(&p.to_bits()), "{p} is no emission mean");
+            }
+        }
     }
 
     #[test]

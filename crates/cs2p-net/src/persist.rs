@@ -578,6 +578,14 @@ fn put_session(out: &mut Vec<u8>, session: &PersistedSession) {
     put_pending(out, &session.pending);
 }
 
+/// A [`WalRecord::Register`] payload, encoded from borrowed state.
+fn put_register(out: &mut Vec<u8>, id: u64, tick: u64, session: &PersistedSession) {
+    out.push(TAG_REGISTER);
+    put_u64(out, id);
+    put_u64(out, tick);
+    put_session(out, session);
+}
+
 /// A bounds-checked little-endian reader over one payload.
 struct Cursor<'a> {
     bytes: &'a [u8],
@@ -709,12 +717,7 @@ impl WalRecord {
     /// and snapshot writers frame in place.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            WalRecord::Register { id, tick, session } => {
-                out.push(TAG_REGISTER);
-                put_u64(out, *id);
-                put_u64(out, *tick);
-                put_session(out, session);
-            }
+            WalRecord::Register { id, tick, session } => put_register(out, *id, *tick, session),
             WalRecord::Update {
                 id,
                 tick,
@@ -763,51 +766,45 @@ impl WalRecord {
     }
 }
 
-/// The bytes of `store.snap`: a header frame (`covered_gen` — the
-/// greatest WAL generation the image fully reflects, so replay skips it —
-/// the store's logical `tick`, and the entry count), then one framed
-/// [`WalRecord::Register`] per live entry whose `tick` is the entry's
-/// `last_touch`.
-fn encode_snapshot(
-    covered_gen: u64,
-    tick: u64,
-    entries: Vec<(u64, u64, PersistedSession)>,
-) -> Vec<u8> {
-    // An upper bound on the file, so the image (megabytes at a full
-    // store) is framed in place into one allocation that never regrows:
-    // the 24-byte header, then per entry a frame header, at most 65 fixed
-    // payload bytes (tag, id, tick, version, model, hit flag, three
-    // lengths, epoch, pending), and its three vectors.
-    let capacity = FRAME_HEADER
-        + 24
-        + entries
-            .iter()
-            .map(|(_, _, s)| {
-                FRAME_HEADER
-                    + 65
-                    + 8 * (s.filter.posterior.len() + s.observed.len())
-                    + 4 * s.features.len()
-            })
-            .sum::<usize>();
-    let mut out = Vec::with_capacity(capacity);
-    frame_with(&mut out, |out| {
-        put_u64(out, covered_gen);
-        put_u64(out, tick);
-        put_u64(out, entries.len() as u64);
-    });
-    for (id, tick, session) in entries {
-        frame_with(&mut out, |out| {
-            WalRecord::Register { id, tick, session }.encode_into(out)
-        });
-    }
-    debug_assert!(out.len() <= capacity, "snapshot outgrew its bound");
-    out
+/// A snapshot framed straight from the live sessions, in visit order:
+/// each one's [`WalRecord::Register`] frame (`tick` = its `last_touch`)
+/// plus an `(id, start, end)` index, so no copy of the table is held.
+#[derive(Debug, Default)]
+pub struct Snapshot {
+    frames: Vec<u8>,
+    index: Vec<(u64, usize, usize)>,
 }
 
-/// Decodes [`encode_snapshot`]'s bytes into `(covered_gen, tick,
-/// records)`. All or nothing: `None` unless every frame is clean to the
-/// end of the file, every payload decodes to a `Register`, and the record
-/// count equals the header's.
+impl Snapshot {
+    /// Frames `id`'s `Register` record (`tick` its `last_touch`) from a borrow.
+    pub fn push(&mut self, id: u64, tick: u64, session: &PersistedSession) {
+        let start = self.frames.len();
+        frame_with(&mut self.frames, |out| put_register(out, id, tick, session));
+        self.index.push((id, start, self.frames.len()));
+    }
+
+    /// The bytes of `store.snap`: a header frame (`covered_gen` — the
+    /// greatest WAL generation the image fully reflects — the logical
+    /// `tick`, and the entry count), then the frames in id order (ties in
+    /// push order), whatever the shard layout.
+    fn into_file(mut self, covered_gen: u64, tick: u64) -> Vec<u8> {
+        self.index.sort_unstable();
+        let mut out = Vec::with_capacity(FRAME_HEADER + 24 + self.frames.len());
+        frame_with(&mut out, |out| {
+            put_u64(out, covered_gen);
+            put_u64(out, tick);
+            put_u64(out, self.index.len() as u64);
+        });
+        for &(_, start, end) in &self.index {
+            out.extend_from_slice(&self.frames[start..end]);
+        }
+        out
+    }
+}
+
+/// Decodes `store.snap` into `(covered_gen, tick, records)`. All or
+/// nothing: `None` unless every frame is clean to the end of the file,
+/// every payload decodes to a `Register`, and the count is the header's.
 fn decode_snapshot(bytes: &[u8]) -> Option<(u64, u64, Vec<WalRecord>)> {
     let frames = decode_frames(bytes);
     let (header, entries) = frames.records.split_first()?;
@@ -1125,37 +1122,26 @@ impl SessionPersist {
         self.wal.stats()
     }
 
-    /// Rotates the WAL, captures the store via `collect`, writes the
-    /// snapshot atomically, and unlinks fully-covered segments. `collect`
-    /// runs outside every shard lock held by the caller (it takes each
-    /// shard's lock itself) and may already observe a few new-generation
-    /// mutations — replay is idempotent over that window. A compaction
-    /// already in flight makes this a no-op.
-    pub fn compact_with(
-        &self,
-        collect: impl FnOnce() -> (u64, Vec<(u64, u64, PersistedSession)>),
-    ) -> io::Result<()> {
+    /// Rotates the WAL, writes a snapshot atomically, and unlinks
+    /// fully-covered segments. `visit` pushes every live session and
+    /// returns the logical tick; it runs outside every shard lock held by
+    /// the caller (it takes each shard's lock itself) and may already see
+    /// a few new-generation mutations — replay is idempotent over that
+    /// window. A compaction already in flight makes this a no-op.
+    pub fn compact_visiting(&self, visit: impl FnOnce(&mut Snapshot) -> u64) -> io::Result<()> {
         let Some(_guard) = self.compact_lock.try_lock() else {
             return Ok(());
         };
-        self.compact_locked(collect)
-    }
-
-    fn compact_locked(
-        &self,
-        collect: impl FnOnce() -> (u64, Vec<(u64, u64, PersistedSession)>),
-    ) -> io::Result<()> {
         let covered_gen = self.gen.load(Ordering::SeqCst);
         if !self.wal.rotate(&segment_path(&self.dir, covered_gen + 1))? {
             return Ok(()); // dead WAL: the process model has crashed
         }
         self.gen.store(covered_gen + 1, Ordering::SeqCst);
         self.since_snapshot.store(0, Ordering::SeqCst);
-        let (tick, entries) = collect();
-        atomic_write(
-            &self.dir.join(SNAPSHOT_FILE),
-            &encode_snapshot(covered_gen, tick, entries),
-        )?;
+        let mut snapshot = Snapshot::default();
+        let tick = visit(&mut snapshot);
+        let bytes = snapshot.into_file(covered_gen, tick);
+        atomic_write(&self.dir.join(SNAPSHOT_FILE), &bytes)?;
         for gen in list_segments(&self.dir)? {
             if gen <= covered_gen {
                 let _ = fs::remove_file(segment_path(&self.dir, gen));
@@ -1166,6 +1152,21 @@ impl SessionPersist {
             cs2p_obs::counter_add("serve.persist.compactions", 1);
         }
         Ok(())
+    }
+
+    /// [`compact_visiting`](Self::compact_visiting) over owned
+    /// `(tick, [(id, last_touch, state)])` rather than a store.
+    pub fn compact_with(
+        &self,
+        collect: impl FnOnce() -> (u64, Vec<(u64, u64, PersistedSession)>),
+    ) -> io::Result<()> {
+        self.compact_visiting(|snapshot| {
+            let (tick, entries) = collect();
+            for (id, last_touch, state) in &entries {
+                snapshot.push(*id, *last_touch, state);
+            }
+            tick
+        })
     }
 }
 
@@ -1357,28 +1358,65 @@ mod tests {
             frame_into(&mut framed, &record.encode());
         }
         assert_eq!(staged.framed, framed);
+        let _ = fs::remove_dir_all(&dir);
+    }
 
-        let entries: Vec<_> = codec_records()
+    /// `(id, last_touch, state)` for the codec's `Register` records.
+    fn register_entries() -> Vec<(u64, u64, PersistedSession)> {
+        codec_records()
             .into_iter()
             .filter_map(|r| match r {
                 WalRecord::Register { id, tick, session } => Some((id, tick, session)),
                 _ => None,
             })
-            .collect();
+            .collect()
+    }
+
+    fn snapshot_of(
+        covered_gen: u64,
+        tick: u64,
+        entries: &[(u64, u64, PersistedSession)],
+    ) -> Vec<u8> {
+        let mut frames = Snapshot::default();
+        for (id, last_touch, session) in entries {
+            frames.push(*id, *last_touch, session);
+        }
+        frames.into_file(covered_gen, tick)
+    }
+
+    #[test]
+    fn a_snapshot_framed_from_the_shards_is_the_records_in_id_order() {
+        // Ids inserted out of order across four shards, one state
+        // carrying NaN and -0.0; insert k takes logical tick k.
+        let sessions = register_entries();
+        let ids = [42u64, 7, 1_000_003, 0, 13, 999, 5];
+        let store = crate::store::SessionStore::new(4, 100, None);
+        for (k, &id) in ids.iter().enumerate() {
+            let session = sessions[k % sessions.len()].2.clone();
+            store.lock(id).insert(id, session);
+        }
+        let mut frames = Snapshot::default();
+        let tick = store.visit(|id, last_touch, session| frames.push(id, last_touch, session));
+        assert_eq!(tick, ids.len() as u64);
+
+        let mut expected = Vec::new();
         let mut header = Vec::new();
-        for v in [3, 17, entries.len() as u64] {
+        for v in [3, tick, ids.len() as u64] {
             put_u64(&mut header, v);
         }
-        let mut expected = Vec::new();
         frame_into(&mut expected, &header);
-        for (id, tick, session) in entries.clone() {
-            frame_into(
-                &mut expected,
-                &WalRecord::Register { id, tick, session }.encode(),
-            );
+        let mut by_id: Vec<(usize, u64)> = ids.iter().copied().enumerate().collect();
+        by_id.sort_unstable_by_key(|&(_, id)| id);
+        for (k, id) in by_id {
+            let session = sessions[k % sessions.len()].2.clone();
+            let record = WalRecord::Register {
+                id,
+                tick: k as u64,
+                session,
+            };
+            frame_into(&mut expected, &record.encode());
         }
-        assert_eq!(encode_snapshot(3, 17, entries), expected);
-        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(frames.into_file(3, tick), expected);
     }
 
     #[test]
@@ -1531,18 +1569,13 @@ mod tests {
     fn snapshot_roundtrip_and_corrupt_snapshot_reads_as_absent() {
         let dir = temp_dir("snap");
         let path = dir.join(SNAPSHOT_FILE);
-        let entries: Vec<_> = codec_records()
-            .into_iter()
-            .filter_map(|r| match r {
-                WalRecord::Register { id, tick, session } => Some((id, tick, session)),
-                _ => None,
-            })
-            .collect();
-        let bytes = encode_snapshot(3, 17, entries.clone());
+        let mut entries = register_entries();
+        let bytes = snapshot_of(3, 17, &entries);
         atomic_write(&path, &bytes).unwrap();
         let (covered_gen, tick, back) = read_snapshot(&path).expect("read own snapshot");
         assert_eq!((covered_gen, tick), (3, 17));
         // NaN-carrying state: compare encodings, as the codec test does.
+        entries.sort_unstable_by_key(|&(id, _, _)| id);
         let written = entries
             .into_iter()
             .map(|(id, tick, session)| WalRecord::Register { id, tick, session }.encode());

@@ -15,6 +15,8 @@
 //! - `GET /healthz` — liveness + counters
 
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
+use std::io::Write;
 
 /// Upper bound on entries per [`BatchPredictRequest`]. Frames above this
 /// are rejected whole with a 400 — the cap keeps one peer from pinning a
@@ -287,74 +289,136 @@ pub struct BatchPredictResponse {
 }
 
 // ---------------------------------------------------------------------------
-// Direct JSON writers for the batch hot path
+// Direct JSON writers for the response hot path
 // ---------------------------------------------------------------------------
 //
-// The vendored serde layer serializes through a `Value` tree: every field
-// key is a heap `String` and every entry an `Object` node, which for a
-// 64-entry frame is thousands of allocations per request. The writers
-// below render the same bytes the generic path produces (asserted in
-// `fast_writers_match_the_generic_serializer` and by proptest coverage)
-// straight into one preallocated buffer. The request types parse the
-// same way, through the direct decoder further down.
+// The vendored serde layer serializes through a `Value` tree: thousands
+// of allocations for a 64-entry frame. These writers emit the bytes of
+// `serde_json::to_vec` into one buffer. By Eq. 8 every midstream
+// prediction is one of the pinned model's emission means and every first
+// one its cluster median, so floats come from a per-thread render cache.
+
+/// log2 of the slot count of each thread's float render cache.
+const RENDER_SLOT_BITS: u32 = 11;
+/// Longest rendering a slot holds (`1e300` renders as 301 digits).
+const RENDER_SLOT_LEN: usize = 23;
+
+/// A float's bit pattern and its JSON bytes; `len == 0` is empty.
+#[derive(Clone, Copy, Default)]
+struct RenderSlot {
+    bits: u64,
+    len: u8,
+    bytes: [u8; RENDER_SLOT_LEN],
+}
+
+thread_local! {
+    /// Direct-mapped by bit pattern: 2^11 slots of 32 bytes, 64 KB.
+    static RENDER_CACHE: RefCell<Vec<RenderSlot>> =
+        RefCell::new(vec![RenderSlot::default(); 1 << RENDER_SLOT_BITS]);
+}
 
 /// Writes `f` exactly as the vendored `serde_json` writer does: shortest
 /// round-trip `Display`, `.0` appended to integral values, `null` for
-/// non-finite floats.
-fn write_json_f64(out: &mut String, f: f64) {
-    use std::fmt::Write;
-    if f.is_finite() {
-        let start = out.len();
-        let _ = write!(out, "{f}");
-        if !out[start..].contains(['.', 'e', 'E']) {
-            out.push_str(".0");
+/// non-finite floats. Finite values go through the render cache, keyed by
+/// the full bit pattern (`-0.0` is not `0.0`). An unreachable cache
+/// (thread teardown, re-entry) is skipped, never panicked on.
+fn write_json_f64(out: &mut Vec<u8>, f: f64) {
+    if !f.is_finite() {
+        return out.extend_from_slice(b"null");
+    }
+    let (start, bits) = (out.len(), f.to_bits());
+    // Fibonacci hashing: the product's top bits mix every input bit.
+    let at = (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - RENDER_SLOT_BITS)) as usize;
+    let _ = RENDER_CACHE.try_with(|cache| {
+        let Ok(mut cache) = cache.try_borrow_mut() else {
+            return;
+        };
+        let slot = &mut cache[at];
+        if slot.len > 0 && slot.bits == bits {
+            return out.extend_from_slice(&slot.bytes[..usize::from(slot.len)]);
         }
-    } else {
-        out.push_str("null");
+        render_json_f64(out, f);
+        let rendered = &out[start..];
+        if rendered.len() <= RENDER_SLOT_LEN {
+            (slot.bits, slot.len) = (bits, rendered.len() as u8);
+            slot.bytes[..rendered.len()].copy_from_slice(rendered);
+        }
+    });
+    // No rendering is empty: nothing written means the cache was skipped.
+    if out.len() == start {
+        render_json_f64(out, f);
     }
 }
 
-/// Writes `s` as a JSON string with the vendored writer's escaping.
-fn write_json_str(out: &mut String, s: &str) {
-    use std::fmt::Write;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// `Display`, then `.0` when that reads as an integer.
+fn render_json_f64(out: &mut Vec<u8>, f: f64) {
+    let start = out.len();
+    let _ = write!(out, "{f}");
+    if !out[start..].iter().any(|b| matches!(b, b'.' | b'e' | b'E')) {
+        out.extend_from_slice(b".0");
+    }
+}
+
+/// Writes `n` in decimal, as `Display` does, without the formatter.
+fn write_json_uint(out: &mut Vec<u8>, n: u64) {
+    if n >= 10 {
+        write_json_uint(out, n / 10);
+    }
+    out.push(b'0' + (n % 10) as u8);
+}
+
+fn write_json_bool(out: &mut Vec<u8>, b: bool) {
+    out.extend_from_slice(if b { b"true" } else { b"false" });
+}
+
+/// Writes `items` comma-separated: the inside of a JSON array.
+fn write_json_list<T>(out: &mut Vec<u8>, items: &[T], write: impl Fn(&T, &mut Vec<u8>)) {
+    for (k, item) in items.iter().enumerate() {
+        if k > 0 {
+            out.push(b',');
+        }
+        write(item, out);
+    }
+}
+
+/// Writes `s` as a JSON string with the vendored writer's escaping. Only
+/// ASCII bytes are ever escaped, so UTF-8 passes through bytewise.
+fn write_json_str(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
+    for b in s.bytes() {
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            0x08 => out.extend_from_slice(b"\\b"),
+            0x0C => out.extend_from_slice(b"\\f"),
+            b if b < 0x20 => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
+            b => out.push(b),
         }
     }
-    out.push('"');
+    out.push(b'"');
 }
 
 impl PredictRequest {
-    fn write_json(&self, out: &mut String) {
-        use std::fmt::Write;
-        let _ = write!(out, "{{\"session_id\":{}", self.session_id);
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"session_id\":");
+        write_json_uint(out, self.session_id);
         if let Some(features) = &self.features {
-            out.push_str(",\"features\":[");
-            for (k, f) in features.iter().enumerate() {
-                if k > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{f}");
-            }
-            out.push(']');
+            out.extend_from_slice(b",\"features\":[");
+            write_json_list(out, features, |f, out| write_json_uint(out, u64::from(*f)));
+            out.push(b']');
         }
         if let Some(m) = self.measured_mbps {
-            out.push_str(",\"measured_mbps\":");
+            out.extend_from_slice(b",\"measured_mbps\":");
             write_json_f64(out, m);
         }
-        let _ = write!(out, ",\"horizon\":{}}}", self.horizon);
+        out.extend_from_slice(b",\"horizon\":");
+        write_json_uint(out, self.horizon as u64);
+        out.push(b'}');
     }
 }
 
@@ -362,16 +426,11 @@ impl BatchPredictRequest {
     /// Serializes the frame straight to bytes, bypassing the `Value`
     /// tree. Byte-identical to `serde_json::to_vec(self)`.
     pub fn to_json_bytes(&self) -> Vec<u8> {
-        let mut out = String::with_capacity(16 + self.entries.len() * 96);
-        out.push_str("{\"entries\":[");
-        for (k, entry) in self.entries.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            entry.write_json(&mut out);
-        }
-        out.push_str("]}");
-        out.into_bytes()
+        let mut out = Vec::with_capacity(16 + self.entries.len() * 96);
+        out.extend_from_slice(b"{\"entries\":[");
+        write_json_list(&mut out, &self.entries, PredictRequest::write_json);
+        out.extend_from_slice(b"]}");
+        out
     }
 }
 
@@ -380,46 +439,51 @@ impl PredictResponse {
     /// tree — what `POST /predict` ships. Byte-identical to
     /// `serde_json::to_vec(self)`.
     pub fn to_json_bytes(&self) -> Vec<u8> {
-        let mut out = String::with_capacity(128 + self.predictions_mbps.len() * 20);
+        let mut out = Vec::with_capacity(self.json_capacity());
         self.write_json(&mut out);
-        out.into_bytes()
+        out
     }
 
-    fn write_json(&self, out: &mut String) {
-        use std::fmt::Write;
-        out.push_str("{\"predictions_mbps\":[");
-        for (k, p) in self.predictions_mbps.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            write_json_f64(out, *p);
-        }
-        let _ = write!(
-            out,
-            "],\"initial\":{},\"cluster_sessions\":{},\"cluster_hit\":{},\"model_version\":{}",
-            self.initial, self.cluster_sessions, self.cluster_hit, self.model_version
-        );
+    /// Fixed fields with room to spare, then a slot's rendering and a
+    /// comma per prediction.
+    fn json_capacity(&self) -> usize {
+        128 + (RENDER_SLOT_LEN + 1) * self.predictions_mbps.len()
+    }
+
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"predictions_mbps\":[");
+        write_json_list(out, &self.predictions_mbps, |p, out| {
+            write_json_f64(out, *p)
+        });
+        out.extend_from_slice(b"],\"initial\":");
+        write_json_bool(out, self.initial);
+        out.extend_from_slice(b",\"cluster_sessions\":");
+        write_json_uint(out, self.cluster_sessions as u64);
+        out.extend_from_slice(b",\"cluster_hit\":");
+        write_json_bool(out, self.cluster_hit);
+        out.extend_from_slice(b",\"model_version\":");
+        write_json_uint(out, self.model_version);
         if let Some(d) = self.degradation {
-            out.push_str(",\"degradation\":");
+            out.extend_from_slice(b",\"degradation\":");
             write_json_str(out, d.as_str());
         }
-        out.push('}');
+        out.push(b'}');
     }
 }
 
 impl BatchEntryResult {
-    fn write_json(&self, out: &mut String) {
-        use std::fmt::Write;
-        let _ = write!(out, "{{\"status\":{}", self.status);
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"status\":");
+        write_json_uint(out, u64::from(self.status));
         if let Some(resp) = &self.response {
-            out.push_str(",\"response\":");
+            out.extend_from_slice(b",\"response\":");
             resp.write_json(out);
         }
         if let Some(err) = &self.error {
-            out.push_str(",\"error\":");
+            out.extend_from_slice(b",\"error\":");
             write_json_str(out, err);
         }
-        out.push('}');
+        out.push(b'}');
     }
 }
 
@@ -427,16 +491,16 @@ impl BatchPredictResponse {
     /// Serializes the frame straight to bytes, bypassing the `Value`
     /// tree. Byte-identical to `serde_json::to_vec(self)`.
     pub fn to_json_bytes(&self) -> Vec<u8> {
-        let mut out = String::with_capacity(16 + self.results.len() * 160);
-        out.push_str("{\"results\":[");
-        for (k, result) in self.results.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            result.write_json(&mut out);
-        }
-        out.push_str("]}");
-        out.into_bytes()
+        // An error entry's message is one of the server's short constants.
+        let capacity = self.results.iter().fold(16, |n, r| {
+            let response = r.response.as_ref();
+            n + 32 + response.map_or(64, PredictResponse::json_capacity)
+        });
+        let mut out = Vec::with_capacity(capacity);
+        out.extend_from_slice(b"{\"results\":[");
+        write_json_list(&mut out, &self.results, BatchEntryResult::write_json);
+        out.extend_from_slice(b"]}");
+        out
     }
 }
 
@@ -1008,6 +1072,53 @@ mod tests {
         for single in resp.results.iter().filter_map(|r| r.response.as_ref()) {
             assert_eq!(single.to_json_bytes(), serde_json::to_vec(single).unwrap());
         }
+    }
+
+    /// The slot of this thread's render cache that holds `f`, if any.
+    fn slot_holding(f: f64) -> Option<usize> {
+        RENDER_CACHE.with(|cache| {
+            cache
+                .borrow()
+                .iter()
+                .position(|slot| slot.len > 0 && slot.bits == f.to_bits())
+        })
+    }
+
+    #[test]
+    fn values_sharing_a_slot_replace_each_other_and_render_exactly() {
+        let a = 2.413_793_103_448_276;
+        write_json_f64(&mut Vec::new(), a);
+        let slot = slot_holding(a).expect("a short rendering is cached");
+        let b = (1..100_000)
+            .map(|k| a + k as f64 / 1024.0)
+            .find(|&b| {
+                write_json_f64(&mut Vec::new(), b);
+                slot_holding(b) == Some(slot)
+            })
+            .expect("some value lands in the same slot");
+        for _ in 0..3 {
+            for v in [a, b] {
+                let mut out = Vec::new();
+                write_json_f64(&mut out, v);
+                assert_eq!(out, serde_json::to_vec(&v).unwrap());
+                assert_eq!(slot_holding(v), Some(slot), "{v} took over its slot");
+            }
+        }
+        // Too long for a slot: rendered each time, never cached.
+        let mut out = Vec::new();
+        write_json_f64(&mut out, 1e300);
+        assert_eq!(out, serde_json::to_vec(&1e300).unwrap());
+        assert_eq!(slot_holding(1e300), None);
+    }
+
+    #[test]
+    fn a_borrowed_cache_is_skipped_not_panicked_on() {
+        RENDER_CACHE.with(|cache| {
+            let _held = cache.borrow_mut();
+            let mut out = Vec::new();
+            write_json_f64(&mut out, 1.5);
+            assert_eq!(out, b"1.5");
+        });
     }
 
     #[test]

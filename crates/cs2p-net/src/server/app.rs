@@ -190,13 +190,9 @@ impl AppState {
         let Some(p) = &self.persist else {
             return;
         };
-        let result = p.compact_with(|| {
-            let (tick, entries) = self.sessions.snapshot();
-            let entries = entries
-                .into_iter()
-                .map(|(id, last_touch, state)| (id, last_touch, state.durable))
-                .collect();
-            (tick, entries)
+        let result = p.compact_visiting(|snapshot| {
+            self.sessions
+                .visit(|id, t, state| snapshot.push(id, t, &state.durable))
         });
         if let Err(e) = result {
             cs2p_obs::event(

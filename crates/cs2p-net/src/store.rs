@@ -219,27 +219,20 @@ impl<V> SessionStore<V> {
         }
     }
 
-    /// A consistent-enough copy of the store for a durability snapshot:
-    /// the logical tick counter plus every `(id, last_touch, value)`
-    /// triple, sorted by id for deterministic bytes on disk. Locks each
-    /// shard in turn **without** consuming a tick or touching LRU stamps
-    /// — snapshotting must not perturb the eviction schedule it records.
-    /// Entries mutated while later shards are visited may appear in
-    /// either state; WAL replay is idempotent over that window.
-    pub fn snapshot(&self) -> (u64, Vec<(u64, u64, V)>)
-    where
-        V: Clone,
-    {
+    /// Hands every live entry to `visit` as `(id, last_touch, &value)`
+    /// for a durability snapshot and returns the logical tick read before
+    /// the first shard. Locks each shard in turn **without** consuming a
+    /// tick or touching LRU stamps — snapshotting must not perturb the
+    /// eviction schedule it records. Entries mutated while later shards
+    /// are visited may appear in either state; WAL replay is idempotent.
+    pub fn visit(&self, mut visit: impl FnMut(u64, u64, &V)) -> u64 {
         let tick = self.tick.load(Ordering::SeqCst);
-        let mut entries = Vec::with_capacity(self.len());
         for shard in &self.shards {
-            let guard = shard.lock();
-            for (id, entry) in guard.iter() {
-                entries.push((*id, entry.last_touch, entry.value.clone()));
+            for (id, entry) in shard.lock().iter() {
+                visit(*id, entry.last_touch, &entry.value);
             }
         }
-        entries.sort_unstable_by_key(|(id, _, _)| *id);
-        (tick, entries)
+        tick
     }
 
     /// Rebuilds a store from recovered parts: the persisted tick counter

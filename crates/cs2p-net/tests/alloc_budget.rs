@@ -5,16 +5,20 @@
 //! steady-state `record_ape` allocates nothing, and a horizon prediction
 //! allocates the same whatever the horizon. The byte path around them
 //! is held the same way: decoding a batch frame allocates only the
-//! entries `Vec`, and staging WAL records into a warmed batch allocates
-//! nothing. A counting global allocator states each as a number. Counts
-//! are per thread (the test harness runs each test on its own), so the
-//! tests cannot disturb one another.
+//! entries `Vec`, encoding a response once the render cache is warm
+//! allocates only its output, and staging WAL records into a warmed batch
+//! allocates nothing. A counting global allocator states each as a
+//! number. Counts are per thread (the test harness runs each test on its
+//! own), so the tests cannot disturb one another.
 
 use cs2p_ml::gaussian::Gaussian;
 use cs2p_ml::hmm::{Emission, FilterState, Hmm};
 use cs2p_ml::matrix::Matrix;
 use cs2p_net::persist::{PersistConfig, PersistedPending, SessionPersist, WalBatch, WalRecord};
-use cs2p_net::protocol::{BatchPredictRequest, PredictRequest};
+use cs2p_net::protocol::{
+    BatchEntryResult, BatchPredictRequest, BatchPredictResponse, Degradation, PredictRequest,
+    PredictResponse,
+};
 use cs2p_net::quality::{QualityConfig, QualityMonitor};
 use cs2p_obs::ManualClock;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -139,6 +143,29 @@ fn decoding_a_batch_frame_allocates_only_the_entries_vec() {
         allocated <= 8,
         "a 64-entry frame decoded in {allocated} allocations"
     );
+}
+
+#[test]
+fn a_warm_response_encodes_in_one_allocation() {
+    // A server's predictions are a few emission means per model (Eq. 8).
+    let means = [1.4, 2.413_793_103_448_276, 0.731_058_578_630_004_9, 5.0];
+    let response = |i: usize| PredictResponse {
+        predictions_mbps: (0..5).map(|k| means[(i + k) % means.len()]).collect(),
+        initial: i.is_multiple_of(16),
+        cluster_sessions: 1_250,
+        cluster_hit: !i.is_multiple_of(5),
+        model_version: 7,
+        degradation: i.is_multiple_of(9).then_some(Degradation::Degraded),
+    };
+    let frame = BatchPredictResponse {
+        results: (0..64).map(|i| BatchEntryResult::ok(response(i))).collect(),
+    };
+    let single = response(1);
+    // Warm-up: this thread's render cache is built and holds every value.
+    let _ = single.to_json_bytes();
+    // The output buffer is reserved from the horizons and never regrows.
+    assert_eq!(allocations_in(|| frame.to_json_bytes()), 1);
+    assert_eq!(allocations_in(|| single.to_json_bytes()), 1);
 }
 
 #[test]

@@ -219,6 +219,182 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// The direct writers against the serde reference, over every float class
+// ---------------------------------------------------------------------------
+//
+// `serde_json::to_vec` is the only independent reference for the bytes
+// the server ships: anything that encodes its expectation through
+// `to_json_bytes` inherits a writer bug. The writers render floats
+// through a per-thread cache of short renderings, so besides each float
+// class the cases below run the cache's hit, replacement and
+// uncacheable paths, and two threads' caches side by side.
+
+/// A uniformly random bit pattern (every sign, class and NaN payload), one
+/// of [`float_classes`], or a throughput-sized value, a third each.
+fn arb_any_f64() -> impl Strategy<Value = f64> {
+    let classes = float_classes();
+    (0u8..3, any::<u64>(), 0.0f64..1e3).prop_map(move |(pick, bits, plain)| match pick {
+        0 => f64::from_bits(bits),
+        1 => classes[bits as usize % classes.len()],
+        _ => plain,
+    })
+}
+
+/// One value of every class the writer renders or caches differently:
+/// non-finite values, signed zeros, subnormals and the extremes, the
+/// powers of ten `Display` prints without an exponent, integral values
+/// that take `.0`, and renderings too long for a cache slot.
+fn float_classes() -> Vec<f64> {
+    let mut values = vec![
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.0,
+        -0.0,
+        f64::from_bits(1),
+        -f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+        1.0,
+        -3.0,
+        42.0,
+        1e15,
+        9_007_199_254_740_993.0,
+        1e300,
+        -1e300,
+        1e23,
+        1e-300,
+        -1.234_567_890_123_456_7e-7,
+        0.1 + 0.2,
+        f64::EPSILON,
+    ];
+    values.extend((-7..=22).map(|e| format!("1e{e}").parse::<f64>().unwrap()));
+    values
+}
+
+/// A frame whose predictions walk `values` in order, `horizon` at a time,
+/// with every kind of entry the server answers.
+fn response_frame(values: &[f64], horizon: usize) -> BatchPredictResponse {
+    let results = values
+        .chunks(horizon)
+        .enumerate()
+        .map(|(i, chunk)| {
+            if i % 11 == 10 {
+                return BatchEntryResult::failed(
+                    404,
+                    "unknown session: send features to (re)register",
+                );
+            }
+            BatchEntryResult::ok(PredictResponse {
+                predictions_mbps: chunk.to_vec(),
+                initial: i % 3 == 0,
+                cluster_sessions: i * 37,
+                cluster_hit: i % 2 == 0,
+                model_version: i as u64,
+                degradation: [
+                    None,
+                    Some(Degradation::Degraded),
+                    Some(Degradation::Fallback),
+                ][i % 3],
+            })
+        })
+        .collect();
+    BatchPredictResponse { results }
+}
+
+/// Both writers of a response frame, and the request writer over the same
+/// values as measurements, equal the serde reference.
+fn assert_writers_match_serde(frame: &BatchPredictResponse) {
+    assert_eq!(frame.to_json_bytes(), serde_json::to_vec(frame).unwrap());
+    for resp in frame.results.iter().filter_map(|r| r.response.as_ref()) {
+        assert_eq!(resp.to_json_bytes(), serde_json::to_vec(resp).unwrap());
+    }
+    let requests = BatchPredictRequest {
+        entries: frame
+            .results
+            .iter()
+            .filter_map(|r| r.response.as_ref())
+            .flat_map(|resp| &resp.predictions_mbps)
+            .enumerate()
+            .map(|(i, &m)| PredictRequest {
+                session_id: u64::MAX - i as u64,
+                features: (i % 4 == 0).then(|| vec![i as u32, u32::MAX]),
+                measured_mbps: Some(m),
+                horizon: i % 33,
+            })
+            .collect(),
+    };
+    assert_eq!(
+        requests.to_json_bytes(),
+        serde_json::to_vec(&requests).unwrap()
+    );
+}
+
+#[test]
+fn writers_match_serde_on_every_float_class() {
+    let classes = float_classes();
+    for horizon in [1, 5, classes.len()] {
+        // The second pass reads back what the first cached.
+        assert_writers_match_serde(&response_frame(&classes, horizon));
+        assert_writers_match_serde(&response_frame(&classes, horizon));
+    }
+}
+
+#[test]
+fn writers_match_serde_on_cache_hits_and_slot_replacement() {
+    // A small pool, repeated: nearly every write after the first few is a
+    // cache hit, as it is for a server reading out Eq. 8.
+    let pool = [
+        2.413_793_103_448_276,
+        0.731_058_578_630_004_9,
+        1.5,
+        12.0,
+        0.2,
+    ];
+    let repeated: Vec<f64> = (0..320).map(|i| pool[i * 7 % pool.len()]).collect();
+    assert_writers_match_serde(&response_frame(&repeated, 5));
+
+    // Far more distinct values than the cache has slots (2^11), written in
+    // the same order twice: values that share a slot replace each other
+    // between their writes, so the second pass runs hits and refills.
+    let distinct: Vec<f64> = (0..3 * 2048 + 1).map(|i| 0.5 + i as f64 / 97.0).collect();
+    assert_writers_match_serde(&response_frame(&distinct, 64));
+    assert_writers_match_serde(&response_frame(&distinct, 64));
+}
+
+#[test]
+fn the_same_frame_encodes_identically_on_two_threads() {
+    let mut values = float_classes();
+    values.extend((0..500).map(|i| 1.0 + (i % 40) as f64 / 7.0));
+    let frame = response_frame(&values, 5);
+    let reference = serde_json::to_vec(&frame).unwrap();
+    let barrier = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                barrier.wait();
+                for _ in 0..50 {
+                    assert_eq!(frame.to_json_bytes(), reference);
+                }
+            });
+        }
+    });
+}
+
+proptest! {
+    #[test]
+    fn writers_match_serde_on_arbitrary_floats(
+        values in prop::collection::vec(arb_any_f64(), 1..80),
+        horizon in 1usize..9,
+    ) {
+        assert_writers_match_serde(&response_frame(&values, horizon));
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The direct request decoder against the serde reference
 // ---------------------------------------------------------------------------
 

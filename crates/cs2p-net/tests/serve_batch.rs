@@ -18,7 +18,11 @@
 //!   input the equivalence must hold under, counters included;
 //! - frame-order semantics for same-session entries inside one frame
 //!   (register + several measurements in a single batch).
+//!
+//! It also pins what the served values can be: at Full and Degraded,
+//! only the pinned model's emission means and its cluster median (Eq. 8).
 
+use cs2p_core::FeatureVector;
 use cs2p_net::http::{read_response, write_request, Request, Response};
 use cs2p_net::protocol::{BatchPredictRequest, BatchPredictResponse, PredictRequest};
 use cs2p_net::{serve_with, AdmissionLevel, OpsSnapshot, ServeConfig, ServerHandle};
@@ -330,6 +334,54 @@ fn batch_frames_match_sequential_singles_at_every_ladder_level() {
             };
             assert!(statuses.iter().eq(expect), "{level:?}: {statuses:?}");
         }
+    }
+}
+
+/// Eq. 8's bound, which the response writer's render cache rests on: at
+/// Full and at Degraded every served prediction is bit-equal to one of
+/// the pinned cluster model's emission means or to its initial median.
+#[test]
+fn served_predictions_are_emission_means_or_the_cluster_median() {
+    const BASE: u64 = 53_000;
+    let entries = entry_stream(BASE, 6, 6);
+    for level in [AdmissionLevel::Full, AdmissionLevel::Degraded] {
+        let s = server(2);
+        s.force_admission_level(Some(level));
+        let (_, engine) = s.model_snapshot();
+        let mut served = 0;
+        for frame in entries.chunks(7) {
+            let breq = BatchPredictRequest {
+                entries: frame.to_vec(),
+            };
+            let body = breq.to_json_bytes();
+            let resp = send(s.addr(), &Request::new("POST", "/predict_batch", body));
+            let bresp: BatchPredictResponse = serde_json::from_slice(&resp.body).unwrap();
+            for (preq, result) in frame.iter().zip(bresp.results) {
+                let Some(prediction) = result.response else {
+                    continue;
+                };
+                // `entry_stream` registers session `sid` with `[sid % 2]`.
+                let model = engine.lookup(&FeatureVector(vec![(preq.session_id % 2) as u32]));
+                let mut allowed: Vec<u64> = model
+                    .hmm
+                    .emissions
+                    .iter()
+                    .map(|e| e.mean().to_bits())
+                    .collect();
+                allowed.push(model.initial_median.to_bits());
+                for p in &prediction.predictions_mbps {
+                    assert!(
+                        allowed.contains(&p.to_bits()),
+                        "{level:?}: session {} served {p}, outside {allowed:?}",
+                        preq.session_id
+                    );
+                    served += 1;
+                }
+            }
+        }
+        // Every session at every epoch, two steps each.
+        assert_eq!(served, 6 * 6 * 2, "{level:?}");
+        s.shutdown();
     }
 }
 

@@ -240,9 +240,10 @@ proptest! {
 
     /// Snapshot/restore round trip through the on-disk format, by the
     /// path the server runs: half the program, persist the store
-    /// (`snapshot` → `SessionPersist::compact_with` → `recover` →
-    /// `restore`, the reference value riding in a `PersistedSession`'s
-    /// `version`), then the other half on the restored copy. The
+    /// (`SessionPersist::compact_visiting` over `SessionStore::visit` →
+    /// `recover` → `restore`, the reference value riding in a
+    /// `PersistedSession`'s `version`), then the other half on the
+    /// restored copy. The
     /// reference model never restarts — if the restored store disagrees
     /// with it on any value, tick, TTL expiry, or LRU victim,
     /// persistence lost or mangled state.
@@ -259,28 +260,28 @@ proptest! {
         let mut model = RefStore::new(n_shards, max_sessions, ttl);
         run_ops(&store, &mut model, &ops_before, 0);
 
-        let (tick, entries) = store.snapshot();
+        let mut entries = Vec::new();
+        let tick = store.visit(|id, last_touch, &value| entries.push((id, last_touch, value)));
+        entries.sort_unstable();
         prop_assert_eq!(tick, model.tick, "snapshot tick");
         let dir = TempDir::new("store-rt");
         let persist =
             SessionPersist::create(dir.path(), Arc::new(ManualClock::new()), &PersistConfig::default())
                 .expect("open persistence dir");
-        let carried = entries
-            .iter()
-            .map(|&(id, last_touch, value)| {
-                let session = PersistedSession {
-                    version: value,
-                    model: None,
-                    cluster_hit: false,
-                    filter: FilterState { posterior: vec![], epoch: 0 },
-                    features: vec![],
-                    observed: vec![],
-                    pending: None,
-                };
-                (id, last_touch, session)
+        let carried = |value| PersistedSession {
+            version: value,
+            model: None,
+            cluster_hit: false,
+            filter: FilterState { posterior: vec![], epoch: 0 },
+            features: vec![],
+            observed: vec![],
+            pending: None,
+        };
+        persist
+            .compact_visiting(|snapshot| {
+                store.visit(|id, last_touch, &value| snapshot.push(id, last_touch, &carried(value)))
             })
-            .collect();
-        persist.compact_with(|| (tick, carried)).expect("write snapshot");
+            .expect("write snapshot");
         let recovered = recover(dir.path(), 0).expect("read snapshot back");
         prop_assert_eq!(recovered.tick, tick);
         let read_back: Vec<(u64, u64, u64)> = recovered
