@@ -8,15 +8,17 @@
 //! once mid-stream. One run ships singleton `/predict` frames, one ships
 //! ragged `/predict_batch` frames. It prints the fired-fault tally per
 //! class and each run's ledger, and panics unless the recovery rules
-//! held: nothing abandoned, one re-registration per forced eviction, and
-//! every session answered once per epoch. What it is for is the
+//! held — the same `faults::assert_recovered` the chaos soak calls:
+//! nothing abandoned, errored or shed, one re-registration per forced
+//! eviction, every session answered once per epoch, and the send ledger
+//! of the run's framing balanced. What it is for is the
 //! `--metrics` file: `tests/captures.rs` validates two runs, diffs them,
 //! and looks for the `serve.fault.*` / `client.retry.*` telemetry.
 //! Nothing here reads a clock; `perf/` is the one harness that times the
 //! server.
 
 use cs2p_net::{serve_with, ServeConfig};
-use cs2p_testkit::faults::{run_chaos, ChaosConfig};
+use cs2p_testkit::faults::{assert_recovered, run_chaos, ChaosConfig};
 use cs2p_testkit::loadgen::{BatchSpec, LoadConfig};
 use cs2p_testkit::scenarios::tiny_engine;
 use std::fmt::Write as _;
@@ -81,19 +83,7 @@ pub fn chaos_bench() -> String {
             ..ChaosConfig::default()
         };
         let report = run_chaos(&server, &chaos);
-        assert_eq!(report.gave_up, 0, "frames {frames}: requests abandoned");
-        assert_eq!(
-            report.reinit, report.forced_evictions,
-            "frames {frames}: every forced eviction re-registers exactly once"
-        );
-        for s in 0..N_SESSIONS as u64 {
-            let id = chaos.load.session_id_base + s;
-            assert_eq!(
-                report.predictions.get(&id).map_or(0, Vec::len),
-                EPOCHS_PER_SESSION,
-                "frames {frames}: session {id} lost predictions"
-            );
-        }
+        assert_recovered(&report, &chaos.load);
         let f = report.fired;
         let _ = writeln!(
             out,

@@ -24,26 +24,15 @@ use cs2p_core::ThroughputPredictor;
 use cs2p_net::http::Request;
 use cs2p_net::protocol::{Degradation, PredictRequest, PredictResponse};
 use cs2p_net::{
-    serve_with, AdmissionConfig, AdmissionLevel, HttpClient, OpsSnapshot, ServeConfig, ServeStats,
-    ServerHandle,
+    serve_with, AdmissionConfig, AdmissionLevel, HttpClient, OpsSnapshot, ServeConfig, ServerHandle,
 };
+use cs2p_testkit::faults::shutdown_bounded;
 use cs2p_testkit::loadgen::{run_load, LoadConfig};
 use cs2p_testkit::scenarios::tiny_engine;
 use std::time::{Duration, Instant};
 
 fn default_server() -> ServerHandle {
     serve_with(tiny_engine(), "127.0.0.1:0", ServeConfig::default()).unwrap()
-}
-
-/// Shuts the server down on a helper thread and panics if it does not
-/// drain within the bound (the ≤10 s acceptance criterion).
-fn shutdown_bounded(server: ServerHandle) -> ServeStats {
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(server.shutdown());
-    });
-    rx.recv_timeout(Duration::from_secs(10))
-        .expect("shutdown must complete in bounded time (stuck thread?)")
 }
 
 fn predict(client: &mut HttpClient, preq: &PredictRequest) -> (u16, Option<PredictResponse>) {

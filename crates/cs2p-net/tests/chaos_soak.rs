@@ -1,31 +1,42 @@
 //! Chaos soak: the full loadgen workload under seeded fault schedules.
 //!
-//! For every seed (fixed CI matrix, overridable via `CHAOS_SEEDS`, e.g.
-//! `CHAOS_SEEDS=5,6,7`), the suite runs a fault-free golden pass and a
-//! chaos pass with half the clients behind seeded [`FaultPlan`]s plus
-//! forced mid-session store evictions, then checks:
+//! Every seed (fixed CI matrix, overridable via `CHAOS_SEEDS`, e.g.
+//! `CHAOS_SEEDS=5,6,7`) runs one fault-free singleton golden run and then
+//! [`chaos_pass`] once per cell of [`CELLS`]: half the clients behind
+//! seeded [`cs2p_testkit::faults::FaultPlan`]s, their sessions
+//! force-evicted mid-stream, in four cells:
 //!
-//! - **liveness**: no panics, every request eventually answered, no
-//!   give-ups, and shutdown completes within a hard bound (a stuck
-//!   worker or poller fails the join timeout);
+//! | Cell | Frames | Hot swaps |
+//! |---|---|---|
+//! | singleton soak | `/predict` | no |
+//! | batched soak | ragged `/predict_batch`, 1..=7 entries | no |
+//! | refresh soak | `/predict` | a swapper thread |
+//! | batched refresh soak | ragged `/predict_batch`, 1..=7 entries | a swapper thread |
+//!
+//! Every cell checks:
+//!
+//! - **liveness**: loadgen's recovery rules
+//!   ([`cs2p_testkit::faults::assert_recovered`]: nothing abandoned,
+//!   errored or shed, every session answered once per epoch, the send
+//!   ledger of its framing balanced), no slow-peer aborts, and shutdown
+//!   within a hard bound (a stuck worker or poller fails the join);
 //! - **fault accounting identity**: every injected fault is either
 //!   observed in the recovery telemetry (`client.retry.*`,
 //!   `serve.fault.*`) or survived outright — nothing disappears;
-//! - **blast-radius isolation**: sessions owned by fault-free clients
-//!   produce bit-identical predictions to the golden run.
+//! - **admission**: the ladder is off, so every 200 is a Full serve;
+//! - **swap accounting**: every publish bumps the version exactly once,
+//!   and the registry keeps at most its retention window;
+//! - **blast-radius isolation** (no-swap cells): sessions owned by
+//!   fault-free clients produce bit-identical predictions to the golden
+//!   run, across the framing change and the fault schedule at once.
 //!
-//! A second pass re-runs the schedule with model hot-swaps firing
-//! concurrently (both the explicit-dataset path and the recorder path,
-//! so a retrain races the forced evictions that feed it): the same
-//! accounting identities must stay exact, shutdown must stay bounded
-//! (no refresh/eviction/slow-peer deadlock), and the registry must not
-//! leak versions past its retention window.
-//!
-//! A third pass crashes durable servers mid-load at seeded WAL commit
-//! points and recovers them (see `crash_restart_one_seed`): recovery
-//! must be a deterministic function of the directory bytes, post-restart
-//! sessions must be bit-identical to a never-crashed server, and the
-//! WAL's record/commit accounting must stay exact across the restart.
+//! Two more passes run on the first two seeds. The crash-restart pass
+//! ([`crash_restart_one_seed`]) kills durable servers mid-load at seeded
+//! WAL commit points and recovers them: recovery must be a deterministic
+//! function of the directory bytes, post-restart sessions bit-identical
+//! to a never-crashed server, and the WAL's record/commit accounting
+//! exact. The ladder pass ([`ladder_accounting_one_seed`]) forces each
+//! admission level under the workload and books every answer exactly.
 //!
 //! Own test binary, single `#[test]`: the identities diff the global
 //! cs2p-obs registry, which concurrent tests would corrupt.
@@ -35,23 +46,15 @@ use cs2p_net::protocol::PredictRequest;
 use cs2p_net::{
     serve_with, HttpClient, PersistConfig, RefreshConfig, ServeConfig, ServerHandle, WalFaultHook,
 };
-use cs2p_testkit::crash::{CrashPlan, TempDir};
-use cs2p_testkit::faults::{run_chaos, ChaosConfig};
-use cs2p_testkit::loadgen::{run_load, BatchSpec, LoadConfig};
+use cs2p_testkit::crash::{copy_dir, CrashPlan, TempDir};
+use cs2p_testkit::faults::{assert_recovered, run_chaos, shutdown_bounded, ChaosConfig};
+use cs2p_testkit::loadgen::{run_load, BatchSpec, LoadConfig, LoadReport};
 use cs2p_testkit::scenarios::{tiny_dataset, tiny_engine, tiny_train_config};
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-fn counter(name: &str) -> u64 {
-    cs2p_obs::Registry::global()
-        .snapshot()
-        .counters
-        .get(name)
-        .copied()
-        .unwrap_or(0)
-}
 
 fn seeds() -> Vec<u64> {
     match std::env::var("CHAOS_SEEDS") {
@@ -63,539 +66,297 @@ fn seeds() -> Vec<u64> {
     }
 }
 
-fn chaos_server() -> ServerHandle {
-    let config = ServeConfig {
+/// Every registry counter at one instant. [`Ledger::since`] turns an
+/// earlier reading into how far each counter has moved since.
+struct Ledger(BTreeMap<String, u64>);
+
+impl Ledger {
+    fn read() -> Ledger {
+        Ledger(cs2p_obs::Registry::global().snapshot().counters)
+    }
+
+    fn since(before: &Ledger) -> Ledger {
+        let mut now = Ledger::read();
+        for (name, value) in &mut now.0 {
+            *value -= before.get(name);
+        }
+        now
+    }
+
+    /// Counter `name` (0 if it was never bumped).
+    fn get(&self, name: &str) -> u64 {
+        self.0.get(name).copied().unwrap_or(0)
+    }
+}
+
+/// The workload of every pass: loadgen's default shape (4 clients,
+/// 8 sessions × 5 epochs, horizon 2) at `seed`.
+fn workload(seed: u64) -> LoadConfig {
+    LoadConfig {
+        seed,
+        ..LoadConfig::default()
+    }
+}
+
+/// The one server shape of this file: no TTL and a store far above the
+/// session count, so only forced evictions evict, and an I/O timeout
+/// short enough that a truncated frame is reaped quickly (well under the
+/// client's 10 s read timeout), long enough that a healthy keep-alive
+/// request never trips it.
+fn serve_config() -> ServeConfig {
+    ServeConfig {
         n_shards: 4,
         n_workers: 3,
         queue_depth: 1024,
         max_sessions: 10_000,
         session_ttl_requests: None,
-        // Short enough that a truncated frame is reaped quickly (well
-        // under the client's 10 s read timeout), long enough that a
-        // healthy keep-alive request never trips it.
         io_timeout: Duration::from_millis(150),
         ..ServeConfig::default()
-    };
+    }
+}
+
+/// A [`serve_config`] server. With `swaps` it also gets an active refresh
+/// configuration: tiny training knobs, a 2-version retention window, and
+/// a recorder that accepts a refresh from the very first completed
+/// session (so the recorder retrain path actually runs).
+fn chaos_server(swaps: bool) -> ServerHandle {
+    let mut config = serve_config();
+    if swaps {
+        config.refresh = RefreshConfig {
+            train_config: tiny_train_config(),
+            retain: 2,
+            min_sessions: 1,
+            ..Default::default()
+        };
+    }
     serve_with(tiny_engine(), "127.0.0.1:0", config).unwrap()
 }
 
-/// Shuts the server down on a helper thread and panics if it does not
-/// drain within the bound — a stuck worker/poller/acceptor shows up here.
-fn shutdown_bounded(server: ServerHandle) -> cs2p_net::ServeStats {
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(server.shutdown());
-    });
-    rx.recv_timeout(Duration::from_secs(10))
-        .expect("shutdown must complete in bounded time (stuck thread?)")
+/// One cell of the chaos table: how clients frame their entries, and
+/// whether a swapper thread hot-swaps models while the faults fire.
+#[derive(Debug)]
+struct Cell {
+    batch: Option<BatchSpec>,
+    swaps: bool,
 }
 
-fn soak_one_seed(seed: u64) -> (u64, usize) {
+const RAGGED: Option<BatchSpec> = Some(BatchSpec {
+    min_entries: 1,
+    max_entries: 7,
+});
+
+/// {singleton, ragged 1..=7} × {no swap, swapper}, each run on every seed.
+const CELLS: [Cell; 4] = [
+    Cell {
+        batch: None,
+        swaps: false,
+    },
+    Cell {
+        batch: RAGGED,
+        swaps: false,
+    },
+    Cell {
+        batch: None,
+        swaps: true,
+    },
+    Cell {
+        batch: RAGGED,
+        swaps: true,
+    },
+];
+
+/// What one cell saw across the seed matrix, for its non-vacuity guards.
+#[derive(Default)]
+struct Seen {
+    fired: u64,
+    evictions: u64,
+    swaps: u64,
+    compared: u64,
+}
+
+/// Alternates explicit-dataset refreshes with recorder refreshes until
+/// `done`, and returns how many published. The recorder path retrains
+/// from sessions the concurrent forced evictions just completed.
+fn swap_until(server: &ServerHandle, done: &AtomicBool) -> u64 {
+    let mut swaps = 0;
+    let mut round = 0u64;
+    while !done.load(Ordering::Relaxed) {
+        let published = if round.is_multiple_of(2) {
+            // Operator push: always trains.
+            let shift = 0.5 * (round % 4) as f64;
+            server.refresh_models_with(&tiny_dataset(shift)).is_some()
+        } else {
+            // Recorder path: a no-op until the first session completes.
+            server.refresh_models().is_some()
+        };
+        swaps += u64::from(published);
+        round += 1;
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    swaps
+}
+
+/// One chaos run of `cell` at `seed`, held to every identity in the
+/// module docs. In batch cells the faults fire mid-frame: a reset kills
+/// a frame carrying up to seven sessions' entries, a corruption 400s the
+/// whole frame, and a forced eviction is a per-entry 404 inside an
+/// otherwise-healthy frame. `golden` is the seed's fault-free singleton
+/// run; swap cells skip it, since sessions registering after a swap
+/// legitimately see a different model (`refresh_soak.rs` proves pinning
+/// bit-identity deterministically).
+fn chaos_pass(seed: u64, cell: &Cell, golden: &LoadReport, seen: &mut Seen) {
     let config = ChaosConfig {
         load: LoadConfig {
-            n_clients: 4,
-            n_sessions: 8,
-            epochs_per_session: 5,
-            horizon: 2,
-            seed,
-            session_id_base: 1_000,
-            ..LoadConfig::default()
+            batch: cell.batch.clone(),
+            ..workload(seed)
         },
         ..ChaosConfig::default()
     };
-
-    // Golden pass: identical workload, no faults, fresh identical server.
-    let golden_server = chaos_server();
-    let golden = run_load(golden_server.addr(), &config.load);
-    assert_eq!(golden.errors, 0, "seed {seed}: golden run must be clean");
-    assert_eq!(golden.rejected, 0);
-    shutdown_bounded(golden_server);
-
-    let attempts0 = counter("client.retry.attempts");
-    let giveups0 = counter("client.retry.giveups");
-    let bad_frames0 = counter("serve.fault.bad_frames");
-    let read_errors0 = counter("serve.fault.read_errors");
-    let evictions0 = counter("serve.fault.forced_evictions");
-    let aborts0 = counter("serve.fault.slow_peer_aborts");
-
-    let server = chaos_server();
+    let at = format!("seed {seed}, {cell:?}");
+    let before = Ledger::read();
+    let server = chaos_server(cell.swaps);
     let addr = server.addr();
-    let report = run_chaos(&server, &config);
+    let done = AtomicBool::new(false);
+    let (report, swaps) = std::thread::scope(|scope| {
+        let swapper = cell
+            .swaps
+            .then(|| scope.spawn(|| swap_until(&server, &done)));
+        let report = run_chaos(&server, &config);
+        done.store(true, Ordering::Relaxed);
+        let swaps = swapper.map_or(0, |s| s.join().expect("swapper panicked"));
+        (report, swaps)
+    });
+    // Version retention under churn: at most `retain` versions (nothing
+    // pins past the window — session pins are Arcs, not registry pins).
+    let versions = server.model_versions();
+    assert!(versions.len() <= 2, "{at}: leaked versions: {versions:?}");
     let stats = shutdown_bounded(server);
-
+    let d = Ledger::since(&before);
     let fired = report.fired;
-    let d_attempts = counter("client.retry.attempts") - attempts0;
-    let d_giveups = counter("client.retry.giveups") - giveups0;
-    let d_bad_frames = counter("serve.fault.bad_frames") - bad_frames0;
-    let d_read_errors = counter("serve.fault.read_errors") - read_errors0;
-    let d_evictions = counter("serve.fault.forced_evictions") - evictions0;
 
-    // Liveness: everything was eventually answered, nothing gave up,
-    // nothing was shed (the queue is sized for the workload).
-    assert_eq!(report.gave_up, 0, "seed {seed}: requests abandoned");
-    assert_eq!(d_giveups, 0, "seed {seed}: client send() gave up");
-    assert_eq!(report.errors, 0, "seed {seed}");
-    assert_eq!(report.rejected, 0, "seed {seed}");
-    assert_eq!(stats.rejected, 0, "seed {seed}");
-    for s in 0..config.load.n_sessions as u64 {
-        let id = config.load.session_id_base + s;
-        let preds = report.predictions.get(&id).map_or(0, Vec::len);
-        assert_eq!(
-            preds, config.load.epochs_per_session,
-            "seed {seed}: session {id} lost predictions"
-        );
-    }
-    // Request conservation: every sent request is accounted to exactly
-    // one outcome.
-    assert_eq!(
-        report.sent,
-        report.ok + report.reinit + report.rejected + report.error_statuses,
-        "seed {seed}: request ledger out of balance"
-    );
+    assert_recovered(&report, &config.load);
+    assert_eq!(stats.rejected, 0, "{at}");
+    assert_eq!(d.get("client.retry.giveups"), 0, "{at}: send() gave up");
 
-    // Fault accounting identity — injected == observed + survived:
-    // every transport-failure fault surfaces as exactly one client
-    // retry, every corruption as exactly one 400 bad frame, every
-    // forced eviction as exactly one re-registration; dribbles (and
-    // in-budget delays) are survived with no error at all.
+    // Fault accounting identity — injected == observed + survived, the
+    // same under every framing and swap schedule: every transport
+    // failure is exactly one client retry, every corruption exactly one
+    // 400 (whole-frame, never applied), every forced eviction exactly one
+    // store eviction (and one re-registration, in `assert_recovered`),
+    // however many of the victim's entries shared its frame; dribbles
+    // are survived with no error at all.
     assert_eq!(
-        d_attempts,
+        d.get("client.retry.attempts"),
         fired.transport_failures(),
-        "seed {seed}: retries vs injected transport faults"
+        "{at}: retries vs injected transport faults"
     );
     assert_eq!(
-        d_bad_frames, fired.corruptions,
-        "seed {seed}: bad frames vs injected corruptions"
+        d.get("serve.fault.bad_frames"),
+        fired.corruptions,
+        "{at}: bad frames vs injected corruptions"
     );
     assert_eq!(
         report.error_statuses, fired.corruptions,
-        "seed {seed}: client-visible error statuses vs corruptions"
+        "{at}: client-visible error statuses vs corruptions"
     );
     // Resets mid-request and truncations are each reaped as exactly one
     // server read error; a reset mid-response *may* additionally surface
     // server-side (close-with-unread-data RST timing), so the total is
     // bounded, not exact.
-    assert!(
-        d_read_errors >= fired.resets_write + fired.truncations
-            && d_read_errors <= fired.transport_failures(),
-        "seed {seed}: read errors {d_read_errors} outside [{}, {}]",
+    let read_errors = d.get("serve.fault.read_errors");
+    let (lo, hi) = (
         fired.resets_write + fired.truncations,
-        fired.transport_failures()
+        fired.transport_failures(),
     );
-    assert_eq!(d_evictions, report.forced_evictions, "seed {seed}");
+    assert!(
+        (lo..=hi).contains(&read_errors),
+        "{at}: read errors {read_errors} outside [{lo}, {hi}]"
+    );
     assert_eq!(
-        report.reinit, report.forced_evictions,
-        "seed {seed}: every forced eviction re-registers exactly once"
+        d.get("serve.fault.forced_evictions"),
+        report.forced_evictions,
+        "{at}"
     );
     assert_eq!(
         stats.sessions_evicted, report.forced_evictions,
-        "seed {seed}: only forced evictions may evict (no TTL, huge cap)"
+        "{at}: only forced evictions may evict (no TTL, huge cap)"
     );
     assert_eq!(
-        counter("serve.fault.slow_peer_aborts"),
-        aborts0,
-        "seed {seed}: no slow-peer aborts without injected delay"
+        d.get("serve.fault.slow_peer_aborts"),
+        0,
+        "{at}: no slow-peer aborts without injected delay"
     );
 
     // Admission-ladder accounting: the ladder is disabled (default
-    // config), so every 200 is booked as a Full-level serve, nothing
-    // degrades, and the level never moves — exactly.
+    // config), so every 200 is booked as a Full-level serve and the level
+    // never moves — exactly.
+    let a = stats.admission;
     assert_eq!(
-        stats.admission.served_full
-            + stats.admission.served_degraded
-            + stats.admission.served_fallback,
-        stats.predictions_served,
-        "seed {seed}: ladder serve ledger out of balance"
-    );
-    assert_eq!(stats.admission.served_degraded, 0, "seed {seed}");
-    assert_eq!(stats.admission.served_fallback, 0, "seed {seed}");
-    assert_eq!(stats.admission.shed, 0, "seed {seed}");
-    assert_eq!(stats.admission.transitions, 0, "seed {seed}");
-
-    // Blast-radius isolation: fault-free clients' sessions are
-    // bit-identical to the golden run.
-    for &id in &report.clean_sessions {
-        assert_eq!(
-            report.predictions.get(&id),
-            golden.predictions.get(&id),
-            "seed {seed}: clean session {id} diverged from fault-free run"
-        );
-    }
-
-    // The listener is really gone: a fresh connect is refused.
-    assert!(
-        std::net::TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err(),
-        "seed {seed}: port still accepting after shutdown"
-    );
-
-    (
-        fired.error_class_total() + fired.survivable_total(),
-        report.clean_sessions.len(),
-    )
-}
-
-/// The chaos schedule driven through `/predict_batch`: every client
-/// chunks its request stream into seeded ragged frames (1..=7 entries)
-/// and the fault schedules now fire *mid-batch* — a reset can kill a
-/// frame carrying seven sessions' requests, a corruption 400s the whole
-/// frame, and a forced eviction surfaces as a per-entry 404 inside an
-/// otherwise-healthy frame. The golden baseline stays the *singleton*
-/// fault-free run: clean sessions must be bit-identical across the
-/// framing change AND the fault schedule simultaneously.
-///
-/// The batched ledger differs from the singleton one: a frame-level 400
-/// books one `error_statuses` but a `sent` per entry (nothing was
-/// applied), while per-entry 404s replay as singletons that book their
-/// own sends. What stays exact: every logical entry
-/// yields exactly one `ok`, every corruption exactly one client-visible
-/// error status, every forced eviction exactly one re-registration.
-fn batched_soak_one_seed(seed: u64) -> (u64, u64) {
-    let config = ChaosConfig {
-        load: LoadConfig {
-            n_clients: 4,
-            n_sessions: 8,
-            epochs_per_session: 5,
-            horizon: 2,
-            seed,
-            session_id_base: 1_000,
-            batch: Some(BatchSpec {
-                min_entries: 1,
-                max_entries: 7,
-            }),
-            ..LoadConfig::default()
-        },
-        ..ChaosConfig::default()
-    };
-
-    // Golden pass: the same workload as sequential singleton requests,
-    // no faults — the strongest baseline the batched chaos pass can be
-    // held to.
-    let golden_config = LoadConfig {
-        batch: None,
-        ..config.load.clone()
-    };
-    let golden_server = chaos_server();
-    let golden = run_load(golden_server.addr(), &golden_config);
-    assert_eq!(golden.errors, 0, "seed {seed}: golden run must be clean");
-    assert_eq!(golden.rejected, 0);
-    shutdown_bounded(golden_server);
-
-    let attempts0 = counter("client.retry.attempts");
-    let giveups0 = counter("client.retry.giveups");
-    let bad_frames0 = counter("serve.fault.bad_frames");
-    let read_errors0 = counter("serve.fault.read_errors");
-    let evictions0 = counter("serve.fault.forced_evictions");
-    let batch_requests0 = counter("serve.batch.requests");
-    let batch_entries0 = counter("serve.batch.entries");
-    let partial_failures0 = counter("serve.batch.partial_failures");
-
-    let server = chaos_server();
-    let addr = server.addr();
-    let report = run_chaos(&server, &config);
-    let stats = shutdown_bounded(server);
-
-    let fired = report.fired;
-    let d_attempts = counter("client.retry.attempts") - attempts0;
-    let d_giveups = counter("client.retry.giveups") - giveups0;
-    let d_bad_frames = counter("serve.fault.bad_frames") - bad_frames0;
-    let d_read_errors = counter("serve.fault.read_errors") - read_errors0;
-    let d_evictions = counter("serve.fault.forced_evictions") - evictions0;
-    let d_batch_requests = counter("serve.batch.requests") - batch_requests0;
-    let d_batch_entries = counter("serve.batch.entries") - batch_entries0;
-    let d_partial_failures = counter("serve.batch.partial_failures") - partial_failures0;
-
-    // Liveness: every frame was eventually answered, nothing abandoned.
-    assert_eq!(report.gave_up, 0, "seed {seed}: batch frames abandoned");
-    assert_eq!(d_giveups, 0, "seed {seed}: client send() gave up");
-    assert_eq!(report.errors, 0, "seed {seed}");
-    assert_eq!(report.rejected, 0, "seed {seed}");
-    assert_eq!(stats.rejected, 0, "seed {seed}");
-    for s in 0..config.load.n_sessions as u64 {
-        let id = config.load.session_id_base + s;
-        let preds = report.predictions.get(&id).map_or(0, Vec::len);
-        assert_eq!(
-            preds, config.load.epochs_per_session,
-            "seed {seed}: session {id} lost predictions in batched chaos"
-        );
-    }
-    // Entry conservation: every logical entry produced exactly one
-    // success, whether in-frame or via a per-entry-404 singleton replay.
-    let total_entries = (config.load.n_sessions * config.load.epochs_per_session) as u64;
-    assert_eq!(
-        report.ok, total_entries,
-        "seed {seed}: entry ledger out of balance"
-    );
-    // Replays only ever *add* sends on top of the framed entries.
-    assert!(
-        report.sent >= report.ok + report.reinit,
-        "seed {seed}: sent {} < ok {} + reinit {}",
-        report.sent,
-        report.ok,
-        report.reinit
-    );
-    // The server really was driven through the batch path, and its
-    // entry meter matches frame arithmetic: applied frames account all
-    // entries that ever got a 200 (duplicates from reset-mid-response
-    // resends can only add).
-    assert!(
-        d_batch_requests > 0,
-        "seed {seed}: batched soak never hit /predict_batch"
-    );
-    assert!(
-        d_batch_entries >= total_entries,
-        "seed {seed}: server batch entries {d_batch_entries} < {total_entries}"
-    );
-
-    // Fault accounting identity, unchanged by framing: every transport
-    // fault is exactly one retry, every corruption exactly one 400
-    // (whole-frame, never applied), every forced eviction exactly one
-    // re-registration — a mid-frame eviction answers a per-entry 404
-    // and the harness re-registers once no matter how many of that
-    // session's entries shared the frame.
-    assert_eq!(
-        d_attempts,
-        fired.transport_failures(),
-        "seed {seed}: retries vs injected transport faults"
+        a.served_full, stats.predictions_served,
+        "{at}: ladder serve ledger out of balance"
     );
     assert_eq!(
-        d_bad_frames, fired.corruptions,
-        "seed {seed}: bad frames vs injected corruptions"
-    );
-    assert_eq!(
-        report.error_statuses, fired.corruptions,
-        "seed {seed}: client-visible error statuses vs corruptions"
-    );
-    assert!(
-        d_read_errors >= fired.resets_write + fired.truncations
-            && d_read_errors <= fired.transport_failures(),
-        "seed {seed}: read errors {d_read_errors} outside [{}, {}]",
-        fired.resets_write + fired.truncations,
-        fired.transport_failures()
-    );
-    assert_eq!(d_evictions, report.forced_evictions, "seed {seed}");
-    assert_eq!(
-        report.reinit, report.forced_evictions,
-        "seed {seed}: every forced eviction re-registers exactly once"
-    );
-    assert_eq!(
-        stats.sessions_evicted, report.forced_evictions,
-        "seed {seed}: only forced evictions may evict (no TTL, huge cap)"
-    );
-    // Every mid-frame eviction shows up as a partially-failed frame
-    // (a 404 entry inside a 200 frame). Corrupted frames are refused
-    // whole, so they never count here.
-    assert!(
-        d_partial_failures >= report.forced_evictions,
-        "seed {seed}: partial failures {d_partial_failures} < evictions {}",
-        report.forced_evictions
-    );
-
-    // Blast-radius isolation across the framing change: fault-free
-    // clients' batched sessions are bit-identical to the *singleton*
-    // golden run.
-    for &id in &report.clean_sessions {
-        assert_eq!(
-            report.predictions.get(&id),
-            golden.predictions.get(&id),
-            "seed {seed}: clean batched session {id} diverged from singleton golden"
-        );
-    }
-
-    assert!(
-        std::net::TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err(),
-        "seed {seed}: port still accepting after shutdown"
-    );
-
-    (
-        fired.error_class_total() + fired.survivable_total(),
-        report.forced_evictions,
-    )
-}
-
-/// Same shards/workers/timeouts as [`chaos_server`], plus an active
-/// refresh configuration: tiny training knobs, a 2-version retention
-/// window, and a recorder that accepts a refresh from the very first
-/// completed session (so the recorder retrain path actually runs).
-fn refresh_chaos_server() -> ServerHandle {
-    let config = ServeConfig {
-        n_shards: 4,
-        n_workers: 3,
-        queue_depth: 1024,
-        max_sessions: 10_000,
-        session_ttl_requests: None,
-        io_timeout: Duration::from_millis(150),
-        refresh: RefreshConfig {
-            train_config: tiny_train_config(),
-            retain: 2,
-            min_sessions: 1,
-            ..Default::default()
-        },
-        ..ServeConfig::default()
-    };
-    serve_with(tiny_engine(), "127.0.0.1:0", config).unwrap()
-}
-
-/// The chaos schedule with hot-swaps racing it: a swapper thread
-/// alternates explicit-dataset refreshes with recorder refreshes (the
-/// latter retrains from sessions the concurrent forced evictions just
-/// completed) while the full fault schedule runs. Blast-radius
-/// bit-identity is not asserted here — sessions registering after a swap
-/// legitimately see a different model; `refresh_soak.rs` proves pinning
-/// bit-identity deterministically. Everything else must hold unchanged.
-/// Returns the number of swaps published.
-fn refresh_chaos_one_seed(seed: u64) -> u64 {
-    let config = ChaosConfig {
-        load: LoadConfig {
-            n_clients: 4,
-            n_sessions: 8,
-            epochs_per_session: 5,
-            horizon: 2,
-            seed,
-            session_id_base: 1_000,
-            ..LoadConfig::default()
-        },
-        ..ChaosConfig::default()
-    };
-
-    let attempts0 = counter("client.retry.attempts");
-    let giveups0 = counter("client.retry.giveups");
-    let bad_frames0 = counter("serve.fault.bad_frames");
-    let read_errors0 = counter("serve.fault.read_errors");
-    let evictions0 = counter("serve.fault.forced_evictions");
-    let aborts0 = counter("serve.fault.slow_peer_aborts");
-    let swaps0 = counter("serve.model.swaps");
-
-    let server = refresh_chaos_server();
-    let addr = server.addr();
-    let done = AtomicBool::new(false);
-    let (report, swaps) = std::thread::scope(|scope| {
-        let server_ref = &server;
-        let done_ref = &done;
-        let swapper = scope.spawn(move || {
-            let mut swaps = 0u64;
-            let mut round = 0u64;
-            while !done_ref.load(Ordering::Relaxed) {
-                let published = if round.is_multiple_of(2) {
-                    // Operator push: always trains.
-                    let shift = 0.5 * (round % 4) as f64;
-                    server_ref
-                        .refresh_models_with(&tiny_dataset(shift))
-                        .is_some()
-                } else {
-                    // Recorder path: races the forced evictions feeding
-                    // it; a no-op until the first session completes.
-                    server_ref.refresh_models().is_some()
-                };
-                if published {
-                    swaps += 1;
-                }
-                round += 1;
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            swaps
-        });
-        let report = run_chaos(&server, &config);
-        done.store(true, Ordering::Relaxed);
-        (report, swapper.join().expect("swapper panicked"))
-    });
-
-    // Version retention under churn: at most `retain` versions (nothing
-    // pins past the window — session pins are Arcs, not registry pins).
-    let versions = server.model_versions();
-    assert!(
-        versions.len() <= 2,
-        "seed {seed}: swaps under chaos leaked versions: {versions:?}"
-    );
-
-    let stats = shutdown_bounded(server);
-
-    let fired = report.fired;
-    let d_attempts = counter("client.retry.attempts") - attempts0;
-    let d_giveups = counter("client.retry.giveups") - giveups0;
-    let d_bad_frames = counter("serve.fault.bad_frames") - bad_frames0;
-    let d_read_errors = counter("serve.fault.read_errors") - read_errors0;
-    let d_evictions = counter("serve.fault.forced_evictions") - evictions0;
-    let d_swaps = counter("serve.model.swaps") - swaps0;
-
-    // Liveness with swaps in the mix: nothing abandoned, nothing shed.
-    assert_eq!(report.gave_up, 0, "seed {seed}: requests abandoned");
-    assert_eq!(d_giveups, 0, "seed {seed}: client send() gave up");
-    assert_eq!(report.errors, 0, "seed {seed}");
-    assert_eq!(report.rejected, 0, "seed {seed}");
-    assert_eq!(stats.rejected, 0, "seed {seed}");
-    for s in 0..config.load.n_sessions as u64 {
-        let id = config.load.session_id_base + s;
-        let preds = report.predictions.get(&id).map_or(0, Vec::len);
-        assert_eq!(
-            preds, config.load.epochs_per_session,
-            "seed {seed}: session {id} lost predictions under swaps"
-        );
-    }
-    assert_eq!(
-        report.sent,
-        report.ok + report.reinit + report.rejected + report.error_statuses,
-        "seed {seed}: request ledger out of balance under swaps"
-    );
-
-    // The fault accounting identities are swap-independent: a refresh
-    // must neither absorb nor duplicate any fault observation.
-    assert_eq!(d_attempts, fired.transport_failures(), "seed {seed}");
-    assert_eq!(d_bad_frames, fired.corruptions, "seed {seed}");
-    assert_eq!(report.error_statuses, fired.corruptions, "seed {seed}");
-    assert!(
-        d_read_errors >= fired.resets_write + fired.truncations
-            && d_read_errors <= fired.transport_failures(),
-        "seed {seed}: read errors {d_read_errors} outside [{}, {}]",
-        fired.resets_write + fired.truncations,
-        fired.transport_failures()
-    );
-    assert_eq!(d_evictions, report.forced_evictions, "seed {seed}");
-    assert_eq!(report.reinit, report.forced_evictions, "seed {seed}");
-    assert_eq!(
-        stats.sessions_evicted, report.forced_evictions,
-        "seed {seed}: only forced evictions may evict (no TTL, huge cap)"
-    );
-    assert_eq!(
-        counter("serve.fault.slow_peer_aborts"),
-        aborts0,
-        "seed {seed}"
+        (a.served_degraded, a.served_fallback, a.shed, a.transitions),
+        (0, 0, 0, 0),
+        "{at}: degraded, fallback, shed, transitions"
     );
 
     // Swap accounting: every publish bumped the counter and the version
     // exactly once (versions are dense), and the recorder only ever held
     // sessions the evictions completed.
-    assert_eq!(d_swaps, swaps, "seed {seed}: swap counter vs publishes");
     assert_eq!(
-        stats.model_version,
-        1 + swaps,
-        "seed {seed}: versions must be dense in publishes"
+        d.get("serve.model.swaps"),
+        swaps,
+        "{at}: swaps vs publishes"
     );
+    assert_eq!(stats.model_version, 1 + swaps, "{at}: versions not dense");
     assert!(
-        (stats.recorded_sessions as u64) <= report.forced_evictions,
-        "seed {seed}: recorder invented sessions"
+        stats.recorded_sessions as u64 <= report.forced_evictions,
+        "{at}: recorder invented sessions"
     );
 
+    if cell.batch.is_some() {
+        // The server really was driven through the batch path; applied
+        // frames account every entry that ever got a 200 (duplicates from
+        // reset-mid-response resends can only add); and every mid-frame
+        // eviction is a 404 entry inside a 200 frame (corrupted frames are
+        // refused whole, so they never count there).
+        let total = config.load.total_requests();
+        let entries = d.get("serve.batch.entries");
+        let partial = d.get("serve.batch.partial_failures");
+        assert!(d.get("serve.batch.requests") > 0, "{at}: no batch frame");
+        assert!(entries >= total, "{at}: batch entries {entries} < {total}");
+        assert!(
+            partial >= report.forced_evictions,
+            "{at}: partial failures {partial} < evictions {}",
+            report.forced_evictions
+        );
+    }
+    if !cell.swaps {
+        for &id in &report.clean_sessions {
+            assert_eq!(
+                report.predictions.get(&id),
+                golden.predictions.get(&id),
+                "{at}: clean session {id} diverged from the singleton golden run"
+            );
+        }
+        seen.compared += report.clean_sessions.len() as u64;
+    }
+
+    // The listener is really gone: a fresh connect is refused.
     assert!(
         std::net::TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err(),
-        "seed {seed}: port still accepting after shutdown"
+        "{at}: port still accepting after shutdown"
     );
-
-    swaps
+    seen.fired += fired.error_class_total() + fired.survivable_total();
+    seen.evictions += report.forced_evictions;
+    seen.swaps += swaps;
 }
 
-/// Same shards/workers as [`chaos_server`], but durable: opened over a
-/// persistence directory with per-record group commit and a compaction
-/// cadence short enough that several WAL rotations race the workload.
+/// A [`serve_config`] server, but durable: opened over a persistence
+/// directory with per-record group commit and a compaction cadence short
+/// enough that several WAL rotations race the workload.
 fn durable_chaos_server(dir: &Path, hook: Option<Arc<CrashPlan>>) -> ServerHandle {
-    let config = ServeConfig {
-        n_shards: 4,
-        n_workers: 3,
-        queue_depth: 1024,
-        max_sessions: 10_000,
-        session_ttl_requests: None,
-        io_timeout: Duration::from_millis(150),
-        ..ServeConfig::default()
-    };
     let persist = PersistConfig {
         commit_every_records: 1,
         snapshot_every_records: 16,
@@ -603,22 +364,8 @@ fn durable_chaos_server(dir: &Path, hook: Option<Arc<CrashPlan>>) -> ServerHandl
         fault_hook: hook.map(|h| h as Arc<dyn WalFaultHook>),
         ..PersistConfig::default()
     };
-    ServerHandle::open_or_recover(dir, tiny_engine(), "127.0.0.1:0", config, persist).unwrap()
-}
-
-/// Recursively copies a persistence directory (WAL segments, snapshot,
-/// model bundles) — taken *after* shutdown, so the bytes are quiescent.
-fn copy_dir(src: &Path, dst: &Path) {
-    std::fs::create_dir_all(dst).unwrap();
-    for entry in std::fs::read_dir(src).unwrap() {
-        let entry = entry.unwrap();
-        let to = dst.join(entry.file_name());
-        if entry.file_type().unwrap().is_dir() {
-            copy_dir(&entry.path(), &to);
-        } else {
-            std::fs::copy(entry.path(), &to).unwrap();
-        }
-    }
+    ServerHandle::open_or_recover(dir, tiny_engine(), "127.0.0.1:0", serve_config(), persist)
+        .unwrap()
 }
 
 /// One identical probe request per session id, answered as raw
@@ -663,15 +410,7 @@ fn probe_sessions(server: &ServerHandle, ids: impl Iterator<Item = u64>) -> Vec<
 ///   WAL record, every record is group-committed (commit-per-record
 ///   config), and the WAL stays alive.
 fn crash_restart_one_seed(seed: u64) -> u64 {
-    let phase1 = LoadConfig {
-        n_clients: 4,
-        n_sessions: 8,
-        epochs_per_session: 5,
-        horizon: 2,
-        seed,
-        session_id_base: 1_000,
-        ..LoadConfig::default()
-    };
+    let phase1 = workload(seed);
 
     // Phase 1: crash mid-load. ~40 predict records land across the run;
     // the plan kills (or tears) one of the first 30 commits.
@@ -679,11 +418,7 @@ fn crash_restart_one_seed(seed: u64) -> u64 {
     let plan = CrashPlan::seeded(seed, 30);
     let server = durable_chaos_server(dir.path(), Some(Arc::clone(&plan)));
     let report = run_load(server.addr(), &phase1);
-    assert_eq!(
-        report.errors, 0,
-        "seed {seed}: crash must not drop requests"
-    );
-    assert_eq!(report.rejected, 0, "seed {seed}");
+    assert_recovered(&report, &phase1);
     assert!(plan.killed(), "seed {seed}: the seeded crash never fired");
     let crashed_stats = server.persist_stats().expect("durable server");
     assert!(
@@ -709,7 +444,9 @@ fn crash_restart_one_seed(seed: u64) -> u64 {
     shutdown_bounded(twin);
 
     // Phase 2 on the recovered server: a fresh cohort of sessions, with
-    // a golden in-memory server as the never-crashed baseline.
+    // a golden in-memory server as the never-crashed baseline. Nothing
+    // evicts, so `assert_recovered` also proves the fresh cohort never
+    // re-registers.
     let phase2 = LoadConfig {
         session_id_base: 2_000,
         seed: seed ^ 0x0051_EED2,
@@ -720,16 +457,11 @@ fn crash_restart_one_seed(seed: u64) -> u64 {
         !stats_before.dead,
         "seed {seed}: recovered WAL must be live"
     );
-    let golden_server = chaos_server();
+    let golden_server = chaos_server(false);
     let golden = run_load(golden_server.addr(), &phase2);
     shutdown_bounded(golden_server);
     let phase2_report = run_load(recovered.addr(), &phase2);
-    assert_eq!(phase2_report.errors, 0, "seed {seed}");
-    assert_eq!(phase2_report.rejected, 0, "seed {seed}");
-    assert_eq!(
-        phase2_report.reinit, 0,
-        "seed {seed}: fresh cohort must never re-register"
-    );
+    assert_recovered(&phase2_report, &phase2);
     for s in 0..phase2.n_sessions as u64 {
         let id = phase2.session_id_base + s;
         assert_eq!(
@@ -774,27 +506,14 @@ fn crash_restart_one_seed(seed: u64) -> u64 {
 ///   changes (Full→Degraded→Fallback→Shed→Full).
 fn ladder_accounting_one_seed(seed: u64) -> (u64, u64) {
     use cs2p_net::AdmissionLevel;
-    let base = LoadConfig {
-        n_clients: 4,
-        n_sessions: 8,
-        epochs_per_session: 5,
-        horizon: 2,
-        seed,
-        session_id_base: 1_000,
-        ..LoadConfig::default()
-    };
+    let base = workload(seed);
     let cohort = |base_id: u64| LoadConfig {
         session_id_base: base_id,
         ..base.clone()
     };
-    let full0 = counter("serve.admission.full");
-    let degraded0 = counter("serve.admission.degraded");
-    let fallback0 = counter("serve.admission.fallback");
-    let shed0 = counter("serve.admission.shed");
-    let misses0 = counter("serve.admission.fallback_misses");
-    let transitions0 = counter("serve.admission.transitions");
+    let before = Ledger::read();
 
-    let server = chaos_server();
+    let server = chaos_server(false);
     let full_run = run_load(server.addr(), &base);
     assert_eq!(full_run.ok, full_run.sent, "seed {seed}");
     assert_eq!(full_run.degraded + full_run.fallback, 0, "seed {seed}");
@@ -857,35 +576,27 @@ fn ladder_accounting_one_seed(seed: u64) -> (u64, u64) {
     assert_eq!(snap.fallback_misses, fallback_run.rejected, "seed {seed}");
     assert_eq!(snap.transitions, 4, "seed {seed}");
     // The telemetry registry agrees with the handle snapshot exactly.
+    let d = Ledger::since(&before);
+    let moved = |level| d.get(&format!("serve.admission.{level}"));
+    let levels = [
+        "full",
+        "degraded",
+        "fallback",
+        "shed",
+        "fallback_misses",
+        "transitions",
+    ];
     assert_eq!(
-        counter("serve.admission.full") - full0,
-        snap.served_full,
-        "seed {seed}"
-    );
-    assert_eq!(
-        counter("serve.admission.degraded") - degraded0,
-        snap.served_degraded,
-        "seed {seed}"
-    );
-    assert_eq!(
-        counter("serve.admission.fallback") - fallback0,
-        snap.served_fallback,
-        "seed {seed}"
-    );
-    assert_eq!(
-        counter("serve.admission.shed") - shed0,
-        snap.shed,
-        "seed {seed}"
-    );
-    assert_eq!(
-        counter("serve.admission.fallback_misses") - misses0,
-        snap.fallback_misses,
-        "seed {seed}"
-    );
-    assert_eq!(
-        counter("serve.admission.transitions") - transitions0,
-        snap.transitions,
-        "seed {seed}"
+        levels.map(moved),
+        [
+            snap.served_full,
+            snap.served_degraded,
+            snap.served_fallback,
+            snap.shed,
+            snap.fallback_misses,
+            snap.transitions
+        ],
+        "seed {seed}: registry vs handle snapshot"
     );
     (snap.served_degraded + snap.served_fallback, snap.shed)
 }
@@ -893,44 +604,30 @@ fn ladder_accounting_one_seed(seed: u64) -> (u64, u64) {
 #[test]
 fn seeded_chaos_schedules_are_survived_with_exact_accounting() {
     cs2p_obs::set_enabled(true);
-    let mut total_fired = 0;
-    let mut total_clean = 0;
+    let mut seen: [Seen; 4] = Default::default();
     for seed in seeds() {
-        let (fired, clean) = soak_one_seed(seed);
-        total_fired += fired;
-        total_clean += clean;
+        // Golden run: the same workload as sequential singleton requests,
+        // no faults — the strongest baseline any framing can be held to.
+        let golden_server = chaos_server(false);
+        let golden = run_load(golden_server.addr(), &workload(seed));
+        shutdown_bounded(golden_server);
+        assert_recovered(&golden, &workload(seed));
+        for (cell, seen) in CELLS.iter().zip(&mut seen) {
+            chaos_pass(seed, cell, &golden, seen);
+        }
     }
-    // The suite must not be vacuous: across the seed matrix, faults
-    // actually fired and clean sessions were actually compared.
-    assert!(
-        total_fired > 0,
-        "no fault ever fired across the seed matrix"
-    );
-    assert!(total_clean > 0, "no clean session was ever compared");
-
-    // Batched-framing pass (a subset of the matrix): the same fault
-    // schedules fire mid-batch, and clean sessions must still be
-    // bit-identical to the singleton fault-free golden run.
-    let mut batched_fired = 0;
-    let mut batched_evictions = 0;
-    for seed in seeds().into_iter().take(2) {
-        let (fired, evictions) = batched_soak_one_seed(seed);
-        batched_fired += fired;
-        batched_evictions += evictions;
+    // No cell is vacuous: across the seed matrix each one fired faults,
+    // force-evicted sessions (mid-frame, in batch cells), and compared
+    // clean sessions or published swaps.
+    for (cell, seen) in CELLS.iter().zip(&seen) {
+        assert!(seen.fired > 0, "{cell:?}: no fault ever fired");
+        assert!(seen.evictions > 0, "{cell:?}: no forced eviction hit");
+        if cell.swaps {
+            assert!(seen.swaps > 0, "{cell:?}: no swap ever published");
+        } else {
+            assert!(seen.compared > 0, "{cell:?}: no clean session compared");
+        }
     }
-    assert!(batched_fired > 0, "no fault ever fired mid-batch");
-    assert!(
-        batched_evictions > 0,
-        "no forced eviction ever hit a batch frame"
-    );
-
-    // Refresh-under-chaos pass (a subset of the matrix — each pass costs
-    // a full chaos run): hot-swaps racing the same fault schedules.
-    let mut total_swaps = 0;
-    for seed in seeds().into_iter().take(2) {
-        total_swaps += refresh_chaos_one_seed(seed);
-    }
-    assert!(total_swaps > 0, "no swap ever published under chaos");
 
     // Crash-restart differential pass: durable servers killed mid-load
     // at seeded WAL commit points, recovered, and held to determinism,

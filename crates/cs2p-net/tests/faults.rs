@@ -20,21 +20,12 @@ use cs2p_net::{
     serve, serve_with, HttpClient, RemotePredictor, RetryPolicy, ServeConfig, ServerHandle,
 };
 use cs2p_obs::ManualClock;
-use cs2p_testkit::faults::{FaultAction, FaultPlan};
+use cs2p_testkit::faults::{counter, FaultAction, FaultPlan};
 use cs2p_testkit::scenarios::tiny_engine;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn counter(name: &str) -> u64 {
-    cs2p_obs::Registry::global()
-        .snapshot()
-        .counters
-        .get(name)
-        .copied()
-        .unwrap_or(0)
-}
 
 /// Sample count of an `observe()`-style stat (e.g. `client.retry.backoff_us`).
 fn stat_count(name: &str) -> u64 {

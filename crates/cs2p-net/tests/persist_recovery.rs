@@ -35,7 +35,7 @@ use cs2p_net::persist::{decode_frames, recover, RegistryDir, Wal, WalRecord};
 use cs2p_net::protocol::{PredictRequest, SessionLog};
 use cs2p_net::{HttpClient, PersistConfig, ServeConfig, ServerHandle};
 use cs2p_obs::ManualClock;
-use cs2p_testkit::crash::{CrashPlan, TempDir};
+use cs2p_testkit::crash::{copy_dir, CrashPlan, TempDir};
 use cs2p_testkit::scenarios::tiny_engine;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -445,20 +445,6 @@ fn graceful_shutdown_then_reopen_recovers_everything() {
 // ---------------------------------------------------------------------
 // Snapshot corruption sweep
 // ---------------------------------------------------------------------
-
-/// Copies a persistence directory (segments, `store.snap`, `models/`).
-fn copy_dir(from: &Path, to: &Path) {
-    std::fs::create_dir_all(to).unwrap();
-    for entry in std::fs::read_dir(from).unwrap() {
-        let entry = entry.unwrap();
-        let dest = to.join(entry.file_name());
-        if entry.file_type().unwrap().is_dir() {
-            copy_dir(&entry.path(), &dest);
-        } else {
-            std::fs::copy(entry.path(), dest).unwrap();
-        }
-    }
-}
 
 /// What `persist::recover` pulls out of `dir`, each session as its
 /// `Register` encoding: byte equality there is bit identity (posterior

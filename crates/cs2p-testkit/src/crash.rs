@@ -54,6 +54,22 @@ impl Drop for TempDir {
     }
 }
 
+/// Recursively copies a persistence directory (WAL segments,
+/// `store.snap`, `models/`). Take it after shutdown, so the bytes are
+/// quiescent.
+pub fn copy_dir(src: &Path, dst: &Path) {
+    std::fs::create_dir_all(dst).unwrap();
+    for entry in std::fs::read_dir(src).unwrap() {
+        let entry = entry.unwrap();
+        let to = dst.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_dir(&entry.path(), &to);
+        } else {
+            std::fs::copy(entry.path(), &to).unwrap();
+        }
+    }
+}
+
 enum CrashMode {
     /// Let every commit through (a control plan; also useful to count
     /// commit points before choosing where to crash on the next run).

@@ -30,13 +30,15 @@
 //! as an input: a [`ChaosConfig`] picks the chaotic clients, their seeded
 //! plans and the forced evictions, and the driver's resend rules run the
 //! production client retry path. Its [`LoadReport`] carries everything
-//! the `chaos_soak` suite needs to check the invariants. Thresholds in
+//! the `chaos_soak` suite needs to check the invariants, and
+//! [`assert_recovered`] holds a report to the rules the driver books by —
+//! the one checker the soak and `cs2p-eval chaos-bench` share. Thresholds in
 //! seeded plans are kept below the size of the first request/response on
 //! a connection, so an armed error fault always fires mid-frame — never
 //! ambiguously at a frame boundary.
 
 use crate::loadgen::{LoadConfig, LoadReport};
-use cs2p_net::{BoxTransport, RetryPolicy, ServerHandle, TransportWrapper};
+use cs2p_net::{BoxTransport, RetryPolicy, ServeStats, ServerHandle, TransportWrapper};
 use cs2p_obs::ManualClock;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -474,6 +476,82 @@ impl ChaosConfig {
 /// [`crate::loadgen::run_load`] with `config.load`.
 pub fn run_chaos(server: &ServerHandle, config: &ChaosConfig) -> LoadReport {
     crate::loadgen::drive(server.addr(), &config.load, Some((server, config)))
+}
+
+/// Panics unless `report` shows a run of `load` that recovered from every
+/// fault it was dealt — the rules [`run_chaos`]'s driver books by:
+///
+/// - nothing abandoned, errored or shed;
+/// - one re-registration per forced eviction;
+/// - every session answered once per epoch;
+/// - the send ledger of the run's framing balances. Singleton: every send
+///   is one `ok`, `reinit`, `rejected` or `error_statuses`. Batched: a
+///   frame-level 400 books one error status but a send per entry, so
+///   only `ok` is exact (one per entry), and replays only add sends.
+///
+/// A clean [`crate::loadgen::run_load`] report passes too.
+pub fn assert_recovered(report: &LoadReport, load: &LoadConfig) {
+    let framing = if load.batch.is_some() {
+        "batch"
+    } else {
+        "singleton"
+    };
+    let run = format!("seed {}, {framing} frames", load.seed);
+    assert_eq!(report.gave_up, 0, "{run}: requests abandoned");
+    assert_eq!(report.errors, 0, "{run}: requests errored");
+    assert_eq!(report.rejected, 0, "{run}: requests shed");
+    assert_eq!(
+        report.reinit, report.forced_evictions,
+        "{run}: every forced eviction re-registers exactly once"
+    );
+    for id in (0..load.n_sessions as u64).map(|s| load.session_id_base + s) {
+        assert_eq!(
+            report.predictions.get(&id).map_or(0, Vec::len),
+            load.epochs_per_session,
+            "{run}: session {id} lost predictions"
+        );
+    }
+    if load.batch.is_none() {
+        assert_eq!(
+            report.sent,
+            report.ok + report.reinit + report.rejected + report.error_statuses,
+            "{run}: request ledger out of balance"
+        );
+    } else {
+        assert_eq!(
+            report.ok,
+            load.total_requests(),
+            "{run}: entry ledger out of balance"
+        );
+        assert!(
+            report.sent >= report.ok + report.reinit,
+            "{run}: sent {} < ok {} + reinit {}",
+            report.sent,
+            report.ok,
+            report.reinit
+        );
+    }
+}
+
+/// Shuts `server` down on a helper thread and panics unless it drains
+/// within 10 s — a stuck worker, poller or acceptor shows up here.
+pub fn shutdown_bounded(server: ServerHandle) -> ServeStats {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(server.shutdown());
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(10))
+        .expect("shutdown must complete in bounded time (stuck thread?)")
+}
+
+/// The global cs2p-obs registry's counter `name` (0 until first bumped).
+pub fn counter(name: &str) -> u64 {
+    cs2p_obs::Registry::global()
+        .snapshot()
+        .counters
+        .get(name)
+        .copied()
+        .unwrap_or(0)
 }
 
 #[cfg(test)]

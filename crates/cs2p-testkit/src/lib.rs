@@ -20,13 +20,14 @@
 //!   server, in singleton or batch frames (see TESTING.md).
 //! - [`faults`]: deterministic fault injection — a seeded [`faults::FaultPlan`]
 //!   transport wrapper (resets, truncation, corruption, dribbling,
-//!   injected delay) and [`faults::run_chaos`], which runs the loadgen
+//!   injected delay), [`faults::run_chaos`], which runs the loadgen
 //!   driver with fault plans, forced store evictions and resends as its
-//!   input for the chaos soak suites.
+//!   input for the chaos soak suites, and [`faults::assert_recovered`],
+//!   the recovery rules every chaos run is held to.
 //! - [`crash`]: the durability crash harness — a seeded [`crash::CrashPlan`]
 //!   killing (or tearing) the WAL at exact commit points, and the
 //!   [`crash::TempDir`] scratch directory the recovery suites persist
-//!   into.
+//!   into (copied with [`crash::copy_dir`]).
 //!
 //! This crate is a dev-dependency of the library crates; production code
 //! must never depend on it. Harness crates (`cs2p-eval`'s `chaos-bench`)
