@@ -410,18 +410,13 @@ mod tests {
             },
         );
         let trace = vec![3.0; 120];
-        // A predictor that would panic if asked for initial predictions is
-        // not needed; use a no-op oracle with empty trace (always None).
         let mut none_pred = cs2p_core::NoisyOracle::new(vec![], 0.0, 0);
         let log = player.play(&trace, 6.0, &mut none_pred, 1, "BB");
         assert_eq!(log.strategy, "BB");
         assert_eq!(log.bitrates_kbps.len(), 43);
         // BB ramps from the bottom.
         assert_eq!(log.bitrates_kbps[0], 350.0);
-        server_noop();
     }
-
-    fn server_noop() {}
 
     #[test]
     fn abr_kind_labels() {

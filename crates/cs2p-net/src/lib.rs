@@ -11,7 +11,7 @@
 //! - [`protocol`]: the JSON messages (`/predict`, `/model`, `/log`,
 //!   `/healthz`);
 //! - [`server`]: the prediction-engine server — a bounded worker pool
-//!   over a sharded session store with 503 backpressure, TTL/LRU session
+//!   over a sharded session store with 503 backpressure, LRU session
 //!   eviction, and graceful drain (see `DESIGN.md`);
 //! - [`store`] / [`pool`]: the sharded session store and the bounded
 //!   request queue backing the server;

@@ -126,7 +126,7 @@ pub struct OpsSnapshot {
     pub n_models: u64,
     /// Sessions resident in the store.
     pub sessions_live: u64,
-    /// Sessions evicted (TTL/LRU/forced) since startup.
+    /// Sessions evicted (LRU or forced) since startup.
     pub sessions_evicted: u64,
     /// Successful `/predict` responses since startup.
     pub predictions_served: u64,

@@ -492,7 +492,7 @@ pub enum WalRecord {
         /// Pending 1-step prediction after the request.
         pending: Option<PersistedPending>,
     },
-    /// The session left the store (TTL/LRU/forced eviction, or `/log`).
+    /// The session left the store (LRU or forced eviction, or `/log`).
     Remove {
         /// Session id.
         id: u64,

@@ -407,7 +407,7 @@ impl AppState {
         wal: &mut WalBatch,
         answer: Strategy,
     ) -> EntryOutcome {
-        // Never seen (or TTL/LRU-evicted): (re-)initialize from the
+        // Never seen (or evicted): (re-)initialize from the
         // request's features, or tell the client to re-register. New
         // sessions pin the registry's current snapshot; the version
         // is fixed for the session's whole lifetime.

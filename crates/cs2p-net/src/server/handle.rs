@@ -26,7 +26,7 @@ pub struct ServeStats {
     pub predictions_served: u64,
     /// Sessions currently resident in the store.
     pub sessions_live: usize,
-    /// Sessions evicted by TTL or LRU since startup.
+    /// Sessions evicted (LRU or forced) since startup.
     pub sessions_evicted: u64,
     /// The store's total capacity bound.
     pub session_capacity: usize,
@@ -58,7 +58,7 @@ impl ServerHandle {
     ///
     /// Recovery replays the store snapshot plus every uncovered WAL
     /// generation: the recovered server holds the same sessions — same
-    /// HMM filter posteriors, same pinned model versions, same LRU/TTL
+    /// HMM filter posteriors, same pinned model versions, same LRU
     /// stamps, same store tick — as the committed prefix of the crashed
     /// run, so its predictions are bit-identical to a server that never
     /// crashed. Replay truncates at the first torn or corrupt record and
@@ -122,7 +122,7 @@ impl ServerHandle {
         let sessions = SessionStore::restore(
             config.n_shards,
             config.max_sessions,
-            config.session_ttl_requests,
+            None,
             recovered.tick,
             entries,
         );
@@ -178,7 +178,7 @@ impl ServerHandle {
 
     /// Forcibly evicts a session mid-stream (chaos/ops hook): the next
     /// request for it gets the "unknown session" re-register path, just
-    /// like a TTL/LRU eviction. Counted in `serve.fault.forced_evictions`
+    /// like an LRU eviction. Counted in `serve.fault.forced_evictions`
     /// (and as a regular eviction). Returns whether it was present.
     pub fn force_evict(&self, session_id: u64) -> bool {
         self.app.sessions.force_evict(session_id)
@@ -322,11 +322,7 @@ pub fn serve_with(
     let listener = TcpListener::bind(addr)?;
     let refresh = &config.refresh;
     let registry = ModelRegistry::new(engine, refresh.train_config.clone(), refresh.retain);
-    let sessions = SessionStore::new(
-        config.n_shards,
-        config.max_sessions,
-        config.session_ttl_requests,
-    );
+    let sessions = SessionStore::new(config.n_shards, config.max_sessions, None);
     let app = AppState::new(registry, sessions, config, None);
     spawn_server(listener, app)
 }

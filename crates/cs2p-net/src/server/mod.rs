@@ -7,7 +7,7 @@
 //!
 //! - **Sharded session store** ([`crate::store::SessionStore`]): per-viewer
 //!   HMM filter state lives in N shards keyed by `hash(session_id)`, each
-//!   behind its own lock, with TTL/LRU eviction under a capacity bound.
+//!   behind its own lock, with LRU eviction under a capacity bound.
 //!   Requests for different sessions proceed in parallel; requests for the
 //!   same session stay serialized.
 //! - **Bounded worker pool**: a fixed set of worker threads pulls
@@ -92,9 +92,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Session capacity bound across all shards (LRU beyond this).
     pub max_sessions: usize,
-    /// Evict sessions idle for more than this many store accesses
-    /// (logical TTL — reproducible in tests; `None` disables).
-    pub session_ttl_requests: Option<u64>,
     /// Concurrent connection cap; beyond this new connections get 503.
     pub max_connections: usize,
     /// Per-connection socket read and write timeout.
@@ -126,7 +123,6 @@ impl std::fmt::Debug for ServeConfig {
             .field("n_workers", &self.n_workers)
             .field("queue_depth", &self.queue_depth)
             .field("max_sessions", &self.max_sessions)
-            .field("session_ttl_requests", &self.session_ttl_requests)
             .field("max_connections", &self.max_connections)
             .field("io_timeout", &self.io_timeout)
             .field("transport_wrapper", &self.transport_wrapper.is_some())
@@ -148,7 +144,6 @@ impl Default for ServeConfig {
             n_workers: workers,
             queue_depth: 256,
             max_sessions: 100_000,
-            session_ttl_requests: None,
             max_connections: 1024,
             io_timeout: Duration::from_secs(10),
             clock: Arc::new(MonotonicClock::new()),
@@ -164,9 +159,7 @@ impl Default for ServeConfig {
 mod tests {
     use super::*;
     use crate::http::{read_response, write_request, Request, Response};
-    use crate::protocol::{
-        BatchPredictRequest, Health, PredictRequest, PredictResponse, SessionLog, MAX_BATCH_ENTRIES,
-    };
+    use crate::protocol::{Health, PredictRequest, PredictResponse, SessionLog};
     use cs2p_core::{ClientModel, ModelVersion};
     use cs2p_testkit::scenarios::tiny_engine;
     use std::io::{BufReader, BufWriter};
@@ -235,6 +228,7 @@ mod tests {
         .unwrap();
         let resp = send(server.addr(), &Request::new("POST", "/predict", body));
         assert_eq!(resp.status, 404, "unknown session must trigger re-init");
+        assert!(String::from_utf8_lossy(&resp.body).contains("unknown session"));
         server.shutdown();
     }
 
@@ -398,173 +392,6 @@ mod tests {
         server.shutdown();
     }
 
-    fn predict_batch(
-        addr: SocketAddr,
-        entries: Vec<PredictRequest>,
-    ) -> crate::protocol::BatchPredictResponse {
-        let body = serde_json::to_vec(&BatchPredictRequest { entries }).unwrap();
-        let resp = send(addr, &Request::new("POST", "/predict_batch", body));
-        assert_eq!(resp.status, 200, "body: {:?}", resp.body);
-        serde_json::from_slice(&resp.body).unwrap()
-    }
-
-    #[test]
-    fn batch_matches_its_sequential_expansion() {
-        // Same per-session request stream, once as sequential singles,
-        // once as batch frames — predictions must be bit-identical.
-        let entries_of_epoch = |epoch: usize| -> Vec<PredictRequest> {
-            (0..6u64)
-                .map(|sid| PredictRequest {
-                    session_id: 100 + sid,
-                    features: (epoch == 0).then(|| vec![(sid % 2) as u32]),
-                    measured_mbps: (epoch > 0).then_some(1.0 + sid as f64 / 3.0),
-                    horizon: 2,
-                })
-                .collect()
-        };
-
-        let sequential = serve(tiny_engine(), "127.0.0.1:0").unwrap();
-        let mut expect: Vec<PredictResponse> = Vec::new();
-        for epoch in 0..3 {
-            for preq in entries_of_epoch(epoch) {
-                expect.push(predict(sequential.addr(), &preq));
-            }
-        }
-        let served = sequential.predictions_served();
-        sequential.shutdown();
-
-        let batched = serve_with(
-            tiny_engine(),
-            "127.0.0.1:0",
-            ServeConfig {
-                n_shards: 4,
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap();
-        let mut got: Vec<PredictResponse> = Vec::new();
-        for epoch in 0..3 {
-            let bresp = predict_batch(batched.addr(), entries_of_epoch(epoch));
-            for r in bresp.results {
-                assert_eq!(r.status, 200, "error: {:?}", r.error);
-                got.push(r.response.unwrap());
-            }
-        }
-        assert_eq!(expect, got);
-        assert_eq!(batched.predictions_served(), served);
-        batched.shutdown();
-    }
-
-    #[test]
-    fn batch_duplicate_session_entries_run_in_frame_order() {
-        // Registration and two measurements for one session in a single
-        // frame: the filter must advance exactly as three singles would.
-        let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
-        let entry = |features: Option<Vec<u32>>, measured: Option<f64>| PredictRequest {
-            session_id: 9,
-            features,
-            measured_mbps: measured,
-            horizon: 1,
-        };
-        let bresp = predict_batch(
-            server.addr(),
-            vec![
-                entry(Some(vec![1]), None),
-                entry(None, Some(5.2)),
-                entry(None, Some(4.9)),
-            ],
-        );
-        assert!(bresp.results.iter().all(|r| r.status == 200));
-        assert!(bresp.results[0].response.as_ref().unwrap().initial);
-        assert!(!bresp.results[1].response.as_ref().unwrap().initial);
-        assert!(!bresp.results[2].response.as_ref().unwrap().initial);
-
-        let control = serve(tiny_engine(), "127.0.0.1:0").unwrap();
-        let expect = [
-            predict(control.addr(), &entry(Some(vec![1]), None)),
-            predict(control.addr(), &entry(None, Some(5.2))),
-            predict(control.addr(), &entry(None, Some(4.9))),
-        ];
-        for (r, e) in bresp.results.iter().zip(&expect) {
-            assert_eq!(r.response.as_ref().unwrap(), e);
-        }
-        control.shutdown();
-        server.shutdown();
-    }
-
-    #[test]
-    fn batch_partial_failures_answer_per_entry_statuses() {
-        let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
-        let bresp = predict_batch(
-            server.addr(),
-            vec![
-                PredictRequest {
-                    session_id: 1,
-                    features: Some(vec![0]),
-                    measured_mbps: None,
-                    horizon: 1,
-                },
-                // Unknown session, no features: per-entry 404.
-                PredictRequest {
-                    session_id: 2,
-                    features: None,
-                    measured_mbps: Some(1.0),
-                    horizon: 1,
-                },
-                // Invalid horizon: per-entry 400.
-                PredictRequest {
-                    session_id: 3,
-                    features: Some(vec![0]),
-                    measured_mbps: None,
-                    horizon: 0,
-                },
-                // Feature width mismatch: per-entry 400.
-                PredictRequest {
-                    session_id: 4,
-                    features: Some(vec![0, 1, 2]),
-                    measured_mbps: None,
-                    horizon: 1,
-                },
-            ],
-        );
-        let statuses: Vec<u16> = bresp.results.iter().map(|r| r.status).collect();
-        assert_eq!(statuses, [200, 404, 400, 400]);
-        assert!(bresp.results[1]
-            .error
-            .as_deref()
-            .unwrap()
-            .contains("unknown session"));
-        // Only the successful entry counts as served.
-        assert_eq!(server.predictions_served(), 1);
-        server.shutdown();
-    }
-
-    #[test]
-    fn empty_and_oversized_batches_are_400() {
-        let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
-        let body = serde_json::to_vec(&BatchPredictRequest { entries: vec![] }).unwrap();
-        let resp = send(server.addr(), &Request::new("POST", "/predict_batch", body));
-        assert_eq!(resp.status, 400, "empty batch must be a 400, not a 500");
-
-        let too_many: Vec<PredictRequest> = (0..=MAX_BATCH_ENTRIES as u64)
-            .map(|sid| PredictRequest {
-                session_id: sid,
-                features: Some(vec![0]),
-                measured_mbps: None,
-                horizon: 1,
-            })
-            .collect();
-        let body = serde_json::to_vec(&BatchPredictRequest { entries: too_many }).unwrap();
-        let resp = send(server.addr(), &Request::new("POST", "/predict_batch", body));
-        assert_eq!(resp.status, 400);
-        assert_eq!(
-            server.predictions_served(),
-            0,
-            "rejected batches serve nothing"
-        );
-        server.shutdown();
-    }
-
     #[test]
     fn invalid_measurement_rejected() {
         let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
@@ -580,35 +407,6 @@ mod tests {
         let raw = br#"{"session_id":8,"features":null,"measured_mbps":-1.0,"horizon":1}"#;
         let resp = send(server.addr(), &Request::new("POST", "/predict", &raw[..]));
         assert_eq!(resp.status, 400);
-        server.shutdown();
-    }
-
-    #[test]
-    fn concurrent_sessions_have_independent_state() {
-        let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
-        let addr = server.addr();
-        let handles: Vec<_> = (0..4)
-            .map(|sid| {
-                thread::spawn(move || {
-                    let isp = (sid % 2) as u32;
-                    let r = predict(
-                        addr,
-                        &PredictRequest {
-                            session_id: 100 + sid,
-                            features: Some(vec![isp]),
-                            measured_mbps: None,
-                            horizon: 1,
-                        },
-                    );
-                    (isp, r.predictions_mbps[0])
-                })
-            })
-            .collect();
-        for h in handles {
-            let (isp, pred) = h.join().unwrap();
-            let expected = if isp == 0 { 1.0 } else { 5.0 };
-            assert!((pred - expected).abs() < 0.5, "isp {isp}: {pred}");
-        }
         server.shutdown();
     }
 
@@ -638,132 +436,6 @@ mod tests {
         assert_eq!(resp.header("retry-after"), Some("1"));
         let stats = server.shutdown();
         assert!(stats.rejected >= 1);
-    }
-
-    #[test]
-    fn lru_eviction_bounds_sessions_and_evicted_reregisters() {
-        let config = ServeConfig {
-            n_shards: 1,
-            max_sessions: 2,
-            ..ServeConfig::default()
-        };
-        let server = serve_with(tiny_engine(), "127.0.0.1:0", config).unwrap();
-        let addr = server.addr();
-        for sid in 0..3 {
-            predict(
-                addr,
-                &PredictRequest {
-                    session_id: sid,
-                    features: Some(vec![0]),
-                    measured_mbps: None,
-                    horizon: 1,
-                },
-            );
-        }
-        let stats = server.stats();
-        assert!(stats.sessions_live <= 2, "live: {}", stats.sessions_live);
-        assert_eq!(stats.sessions_evicted, 1);
-        // Session 0 was LRU-evicted; without features it is unknown…
-        let body = serde_json::to_vec(&PredictRequest {
-            session_id: 0,
-            features: None,
-            measured_mbps: Some(1.0),
-            horizon: 1,
-        })
-        .unwrap();
-        let resp = send(addr, &Request::new("POST", "/predict", body));
-        assert_eq!(resp.status, 404);
-        // …and with features it cleanly re-registers.
-        let r = predict(
-            addr,
-            &PredictRequest {
-                session_id: 0,
-                features: Some(vec![0]),
-                measured_mbps: None,
-                horizon: 1,
-            },
-        );
-        assert!(r.initial);
-        server.shutdown();
-    }
-
-    #[test]
-    fn shutdown_twice_via_drop_is_safe() {
-        let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
-        let addr = server.addr();
-        predict(
-            addr,
-            &PredictRequest {
-                session_id: 1,
-                features: Some(vec![0]),
-                measured_mbps: None,
-                horizon: 1,
-            },
-        );
-        let stats = server.shutdown();
-        assert_eq!(stats.predictions_served, 1);
-        // The port is released: a fresh server can bind it again.
-        let again = serve(tiny_engine(), &addr.to_string());
-        if let Ok(s) = again {
-            s.shutdown();
-        }
-    }
-
-    #[test]
-    fn responses_carry_model_version_and_sessions_stay_pinned_across_swap() {
-        use cs2p_testkit::scenarios::{tiny_dataset, tiny_train_config};
-        let config = ServeConfig {
-            refresh: RefreshConfig {
-                train_config: tiny_train_config(),
-                ..RefreshConfig::default()
-            },
-            ..ServeConfig::default()
-        };
-        let server = serve_with(tiny_engine(), "127.0.0.1:0", config).unwrap();
-        let addr = server.addr();
-        let r1 = predict(
-            addr,
-            &PredictRequest {
-                session_id: 1,
-                features: Some(vec![1]),
-                measured_mbps: None,
-                horizon: 1,
-            },
-        );
-        assert_eq!(r1.model_version, 1);
-        // Hot-swap a model trained on data drifted up by 2 Mbps.
-        let (v2, summary) = server
-            .refresh_models_with(&tiny_dataset(2.0))
-            .expect("refresh trains");
-        assert_eq!(v2, ModelVersion(2));
-        assert!(summary.warm_started > 0, "refresh must warm-start");
-        assert_eq!(server.model_version(), v2);
-        assert_eq!(server.stats().model_version, 2);
-        // The in-flight session stays pinned to v1 and its old regime…
-        let r2 = predict(
-            addr,
-            &PredictRequest {
-                session_id: 1,
-                features: None,
-                measured_mbps: Some(5.0),
-                horizon: 1,
-            },
-        );
-        assert_eq!(r2.model_version, 1, "midstream session must stay pinned");
-        assert!((r2.predictions_mbps[0] - 5.0).abs() < 0.5);
-        // …while a session registering after the swap gets v2's regime.
-        let r3 = predict(
-            addr,
-            &PredictRequest {
-                session_id: 2,
-                features: Some(vec![1]),
-                measured_mbps: None,
-                horizon: 1,
-            },
-        );
-        assert_eq!(r3.model_version, 2);
-        assert!((r3.predictions_mbps[0] - 7.0).abs() < 0.5);
-        server.shutdown();
     }
 
     #[test]
@@ -818,36 +490,6 @@ mod tests {
         assert_eq!(server.stats().recorded_sessions, 2);
         let (version, _) = server.refresh_models().expect("enough sessions recorded");
         assert_eq!(version, ModelVersion(2));
-        server.shutdown();
-    }
-
-    #[test]
-    fn worker_count_one_still_serves_concurrent_clients() {
-        let config = ServeConfig {
-            n_workers: 1,
-            ..ServeConfig::default()
-        };
-        let server = serve_with(tiny_engine(), "127.0.0.1:0", config).unwrap();
-        let addr = server.addr();
-        let handles: Vec<_> = (0..4)
-            .map(|sid| {
-                thread::spawn(move || {
-                    for epoch in 0..3 {
-                        let preq = PredictRequest {
-                            session_id: 200 + sid,
-                            features: if epoch == 0 { Some(vec![1]) } else { None },
-                            measured_mbps: if epoch == 0 { None } else { Some(5.0) },
-                            horizon: 1,
-                        };
-                        predict(addr, &preq);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(server.predictions_served(), 12);
         server.shutdown();
     }
 }

@@ -22,29 +22,17 @@
 use cs2p_core::baselines::HarmonicMean;
 use cs2p_core::ThroughputPredictor;
 use cs2p_net::http::Request;
-use cs2p_net::protocol::{Degradation, PredictRequest, PredictResponse};
+use cs2p_net::protocol::{Degradation, PredictRequest};
 use cs2p_net::{
     serve_with, AdmissionConfig, AdmissionLevel, HttpClient, OpsSnapshot, ServeConfig, ServerHandle,
 };
 use cs2p_testkit::faults::shutdown_bounded;
-use cs2p_testkit::loadgen::{run_load, LoadConfig};
+use cs2p_testkit::loadgen::{predict, run_load, send, LoadConfig};
 use cs2p_testkit::scenarios::tiny_engine;
 use std::time::{Duration, Instant};
 
 fn default_server() -> ServerHandle {
     serve_with(tiny_engine(), "127.0.0.1:0", ServeConfig::default()).unwrap()
-}
-
-fn predict(client: &mut HttpClient, preq: &PredictRequest) -> (u16, Option<PredictResponse>) {
-    let resp = client
-        .send(&Request::new(
-            "POST",
-            "/predict",
-            serde_json::to_vec(preq).unwrap(),
-        ))
-        .unwrap();
-    let parsed = (resp.status == 200).then(|| serde_json::from_slice(&resp.body).unwrap());
-    (resp.status, parsed)
 }
 
 #[test]
@@ -99,24 +87,21 @@ fn degraded_level_skips_filter_updates_differentially() {
     // Server A: session 7 registers, then reports m1/m2 while the
     // ladder is pinned Degraded, then m3 after recovery.
     let server_a = default_server();
-    let mut client_a = HttpClient::new(server_a.addr());
     let register = PredictRequest {
         session_id: 7,
         features: Some(vec![1]),
         measured_mbps: None,
         horizon: 3,
     };
-    let (status, first) = predict(&mut client_a, &register);
-    assert_eq!(status, 200);
-    let first = first.unwrap();
+    let first = predict(server_a.addr(), &register);
     assert!(first.initial);
     assert_eq!(first.degradation, None);
 
     server_a.force_admission_level(Some(AdmissionLevel::Degraded));
     let mut degraded_answers = Vec::new();
     for m in [4.8, 5.3] {
-        let (status, resp) = predict(
-            &mut client_a,
+        let resp = predict(
+            server_a.addr(),
             &PredictRequest {
                 session_id: 7,
                 features: None,
@@ -124,8 +109,6 @@ fn degraded_level_skips_filter_updates_differentially() {
                 horizon: 3,
             },
         );
-        assert_eq!(status, 200);
-        let resp = resp.unwrap();
         assert_eq!(resp.degradation, Some(Degradation::Degraded));
         assert!(
             resp.initial,
@@ -141,8 +124,8 @@ fn degraded_level_skips_filter_updates_differentially() {
         .all(|w| w[0].to_bits() == w[1].to_bits()));
 
     server_a.force_admission_level(None);
-    let (status, after) = predict(
-        &mut client_a,
+    let after = predict(
+        server_a.addr(),
         &PredictRequest {
             session_id: 7,
             features: None,
@@ -150,19 +133,15 @@ fn degraded_level_skips_filter_updates_differentially() {
             horizon: 3,
         },
     );
-    assert_eq!(status, 200);
-    let after = after.unwrap();
     assert_eq!(after.degradation, None);
 
     // Server B never degrades and never sees m1/m2: if Degraded really
     // dropped them, the post-recovery answer is bit-identical to a
     // session whose first measurement is m3.
     let server_b = default_server();
-    let mut client_b = HttpClient::new(server_b.addr());
-    let (status, _) = predict(&mut client_b, &register);
-    assert_eq!(status, 200);
-    let (status, golden) = predict(
-        &mut client_b,
+    predict(server_b.addr(), &register);
+    let golden = predict(
+        server_b.addr(),
         &PredictRequest {
             session_id: 7,
             features: None,
@@ -170,10 +149,8 @@ fn degraded_level_skips_filter_updates_differentially() {
             horizon: 3,
         },
     );
-    assert_eq!(status, 200);
     assert_eq!(
-        after.predictions_mbps,
-        golden.unwrap().predictions_mbps,
+        after.predictions_mbps, golden.predictions_mbps,
         "measurements reported at Degraded must never reach the filter"
     );
     let stats = shutdown_bounded(server_a);
@@ -189,32 +166,25 @@ fn degraded_level_skips_filter_updates_differentially() {
 fn fallback_level_reproduces_the_harmonic_mean_baseline_exactly() {
     let server = serve_with(tiny_engine(), "127.0.0.1:0", ServeConfig::default()).unwrap();
     server.force_admission_level(Some(AdmissionLevel::Fallback));
-    let mut client = HttpClient::new(server.addr());
 
     // No measurement, no history: shed with a Retry-After.
-    let resp = client
-        .send(&Request::new(
-            "POST",
-            "/predict",
-            serde_json::to_vec(&PredictRequest {
-                session_id: 42,
-                features: Some(vec![0]),
-                measured_mbps: None,
-                horizon: 2,
-            })
-            .unwrap(),
-        ))
-        .unwrap();
+    let body = serde_json::to_vec(&PredictRequest {
+        session_id: 42,
+        features: Some(vec![0]),
+        measured_mbps: None,
+        horizon: 2,
+    })
+    .unwrap();
+    let resp = send(server.addr(), &Request::new("POST", "/predict", body));
     assert_eq!(resp.status, 503);
     assert_eq!(resp.header("retry-after"), Some("1"));
-    client.reset_connection();
 
     // Every measurement-carrying request answers exactly what the
     // paper's HarmonicMean baseline would after the same observations.
     let mut hm = HarmonicMean::new();
     for (i, m) in [2.0, 6.0, 3.0, 0.0, 4.5].into_iter().enumerate() {
-        let (status, resp) = predict(
-            &mut client,
+        let resp = predict(
+            server.addr(),
             &PredictRequest {
                 session_id: 42,
                 features: None,
@@ -222,8 +192,6 @@ fn fallback_level_reproduces_the_harmonic_mean_baseline_exactly() {
                 horizon: 4,
             },
         );
-        assert_eq!(status, 200, "sample {i}");
-        let resp = resp.unwrap();
         assert_eq!(resp.degradation, Some(Degradation::Fallback));
         hm.observe(m);
         let want = hm.predict_ahead(1).unwrap();

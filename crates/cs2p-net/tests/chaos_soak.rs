@@ -62,7 +62,10 @@ fn seeds() -> Vec<u64> {
             .split(',')
             .map(|t| t.trim().parse().expect("CHAOS_SEEDS must be u64s"))
             .collect(),
-        Err(_) => vec![11, 23, 47, 91],
+        // 11 fires both resets, truncations and dribbles; 6 fires
+        // write resets, corruptions and dribbles: every class, in every
+        // cell.
+        Err(_) => vec![11, 6, 23, 91],
     }
 }
 
@@ -98,8 +101,8 @@ fn workload(seed: u64) -> LoadConfig {
     }
 }
 
-/// The one server shape of this file: no TTL and a store far above the
-/// session count, so only forced evictions evict, and an I/O timeout
+/// The one server shape of this file: a store far above the session
+/// count, so only forced evictions evict, and an I/O timeout
 /// short enough that a truncated frame is reaped quickly (well under the
 /// client's 10 s read timeout), long enough that a healthy keep-alive
 /// request never trips it.
@@ -109,7 +112,6 @@ fn serve_config() -> ServeConfig {
         n_workers: 3,
         queue_depth: 1024,
         max_sessions: 10_000,
-        session_ttl_requests: None,
         io_timeout: Duration::from_millis(150),
         ..ServeConfig::default()
     }
@@ -165,10 +167,20 @@ const CELLS: [Cell; 4] = [
     },
 ];
 
+/// The fault classes `FaultPlan::seeded` draws, in [`Seen::fired`] order.
+const FAULT_CLASSES: [&str; 5] = [
+    "reset-read",
+    "reset-write",
+    "truncation",
+    "corruption",
+    "dribble",
+];
+
 /// What one cell saw across the seed matrix, for its non-vacuity guards.
 #[derive(Default)]
 struct Seen {
-    fired: u64,
+    /// Faults fired per class of [`FAULT_CLASSES`].
+    fired: [u64; 5],
     evictions: u64,
     swaps: u64,
     compared: u64,
@@ -279,7 +291,7 @@ fn chaos_pass(seed: u64, cell: &Cell, golden: &LoadReport, seen: &mut Seen) {
     );
     assert_eq!(
         stats.sessions_evicted, report.forced_evictions,
-        "{at}: only forced evictions may evict (no TTL, huge cap)"
+        "{at}: only forced evictions may evict (huge cap)"
     );
     assert_eq!(
         d.get("serve.fault.slow_peer_aborts"),
@@ -348,7 +360,16 @@ fn chaos_pass(seed: u64, cell: &Cell, golden: &LoadReport, seen: &mut Seen) {
         std::net::TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err(),
         "{at}: port still accepting after shutdown"
     );
-    seen.fired += fired.error_class_total() + fired.survivable_total();
+    let by_class = [
+        fired.resets_read,
+        fired.resets_write,
+        fired.truncations,
+        fired.corruptions,
+        fired.dribbles,
+    ];
+    for (seen, n) in seen.fired.iter_mut().zip(by_class) {
+        *seen += n;
+    }
     seen.evictions += report.forced_evictions;
     seen.swaps += swaps;
 }
@@ -472,7 +493,7 @@ fn crash_restart_one_seed(seed: u64) -> u64 {
     }
 
     // Persistence accounting: exactly one WAL record per successful
-    // post-restart request (no evictions: huge cap, no TTL), all of
+    // post-restart request (no evictions: huge cap), all of
     // them committed record-by-record, WAL still alive.
     let stats_after = recovered.persist_stats().expect("durable server");
     let d_records = stats_after.records - stats_before.records;
@@ -616,11 +637,14 @@ fn seeded_chaos_schedules_are_survived_with_exact_accounting() {
             chaos_pass(seed, cell, &golden, seen);
         }
     }
-    // No cell is vacuous: across the seed matrix each one fired faults,
-    // force-evicted sessions (mid-frame, in batch cells), and compared
-    // clean sessions or published swaps.
+    // No cell is vacuous: across the seed matrix each one fired every
+    // fault class (so each accounting identity compares non-zero
+    // counts), force-evicted sessions (mid-frame, in batch cells), and
+    // compared clean sessions or published swaps.
     for (cell, seen) in CELLS.iter().zip(&seen) {
-        assert!(seen.fired > 0, "{cell:?}: no fault ever fired");
+        for (class, n) in FAULT_CLASSES.iter().zip(seen.fired) {
+            assert!(n > 0, "{cell:?}: no {class} fault ever fired");
+        }
         assert!(seen.evictions > 0, "{cell:?}: no forced eviction hit");
         if cell.swaps {
             assert!(seen.swaps > 0, "{cell:?}: no swap ever published");

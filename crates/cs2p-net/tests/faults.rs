@@ -517,6 +517,11 @@ fn server_death_mid_session_degrades_but_playback_finishes() {
     );
     let trace = vec![5.0; 120];
     let mut dead = sleepless_predictor(addr, 2, vec![1]);
+    assert_eq!(
+        dead.predict_initial(),
+        None,
+        "nobody listens: no prediction"
+    );
     let log = player.play(&trace, 6.0, &mut dead, 2, "CS2P+MPC");
     assert_eq!(log.bitrates_kbps.len(), 43);
     assert!(log.qoe.is_finite());

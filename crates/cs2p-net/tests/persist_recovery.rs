@@ -26,8 +26,8 @@
 //! single-threaded driver, every step of the stream appends exactly one
 //! WAL record and therefore owns exactly one commit index, so
 //! "crash at commit k" and "control fed the first k steps" describe the
-//! same durable state. The stream is built to keep that invariant (no
-//! TTL, capacity far above the session count, `/log` only for live
+//! same durable state. The stream is built to keep that invariant
+//! (capacity far above the session count, `/log` only for live
 //! sessions — nothing ever evicts or no-ops).
 
 use cs2p_net::http::{Request, Response};
@@ -284,7 +284,6 @@ fn persist_server(dir: &Path, persist: PersistConfig) -> ServerHandle {
         n_shards: 2,
         n_workers: 1,
         max_sessions: 64,
-        session_ttl_requests: None,
         ..ServeConfig::default()
     };
     ServerHandle::open_or_recover(dir, cached_engine(), "127.0.0.1:0", config, persist).unwrap()

@@ -848,14 +848,16 @@ fn empty_batch_is_a_400_not_a_500() {
 }
 
 /// A frame over [`MAX_BATCH_ENTRIES`] is rejected whole with a 400 —
-/// and the server goes on serving.
+/// none of its registrations reaches the store — and the server goes on
+/// serving.
 #[test]
 fn over_cap_batch_is_rejected_whole() {
+    const BASE: u64 = 7_000_000;
     let entries: Vec<PredictRequest> = (0..=MAX_BATCH_ENTRIES as u64)
         .map(|i| PredictRequest {
-            session_id: i,
-            features: None,
-            measured_mbps: Some(1.0),
+            session_id: BASE + i,
+            features: Some(vec![0]),
+            measured_mbps: None,
             horizon: 1,
         })
         .collect();
@@ -865,6 +867,24 @@ fn over_cap_batch_is_rejected_whole() {
         .expect("must not hang")
         .expect("server must answer");
     assert_eq!(resp.status, 400, "reason: {}", resp.reason);
+
+    let probe = PredictRequest {
+        session_id: BASE,
+        features: None,
+        measured_mbps: Some(1.0),
+        horizon: 1,
+    };
+    let body = serde_json::to_vec(&probe).unwrap();
+    let mut frame = format!(
+        "POST /predict HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    frame.extend_from_slice(&body);
+    let resp = raw_exchange(&frame, false)
+        .expect("must not hang")
+        .expect("server must answer");
+    assert_eq!(resp.status, 404, "the refused frame registered a session");
 }
 
 #[test]

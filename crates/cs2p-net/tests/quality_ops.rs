@@ -13,34 +13,12 @@
 //!   scores offline `throughput_pairs` into the `log` sketch;
 //! - `PredictResponse.cluster_hit` reports cluster vs global fallback.
 
-use cs2p_net::http::{read_response, write_request, Request, Response};
+use cs2p_net::http::Request;
 use cs2p_net::protocol::{PredictRequest, PredictResponse, SessionLog};
-use cs2p_net::{serve, OpsSnapshot, ServerHandle};
+use cs2p_net::{serve, ServerHandle};
+use cs2p_testkit::loadgen::{ops, predict, send};
 use cs2p_testkit::scenarios::tiny_engine;
-use std::io::{BufReader, BufWriter};
-use std::net::{SocketAddr, TcpStream};
-
-fn send(addr: SocketAddr, req: &Request) -> Response {
-    let stream = TcpStream::connect(addr).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = BufWriter::new(stream);
-    write_request(&mut writer, req).unwrap();
-    read_response(&mut reader).unwrap()
-}
-
-fn predict(addr: SocketAddr, preq: &PredictRequest) -> PredictResponse {
-    let body = serde_json::to_vec(preq).unwrap();
-    let resp = send(addr, &Request::new("POST", "/predict", body));
-    assert_eq!(resp.status, 200, "body: {:?}", resp.body);
-    serde_json::from_slice(&resp.body).unwrap()
-}
-
-fn ops(addr: SocketAddr) -> OpsSnapshot {
-    let resp = send(addr, &Request::new("GET", "/ops", Vec::new()));
-    assert_eq!(resp.status, 200);
-    assert_eq!(resp.header("content-type"), Some("application/json"));
-    serde_json::from_slice(&resp.body).unwrap()
-}
+use std::net::SocketAddr;
 
 fn server() -> ServerHandle {
     serve(tiny_engine(), "127.0.0.1:0").expect("server starts")

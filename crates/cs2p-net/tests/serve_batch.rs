@@ -23,29 +23,14 @@
 //! only the pinned model's emission means and its cluster median (Eq. 8).
 
 use cs2p_core::FeatureVector;
-use cs2p_net::http::{read_response, write_request, Request, Response};
+use cs2p_net::http::Request;
 use cs2p_net::protocol::{BatchPredictRequest, BatchPredictResponse, PredictRequest};
-use cs2p_net::{serve_with, AdmissionLevel, OpsSnapshot, ServeConfig, ServerHandle};
+use cs2p_net::{serve_with, AdmissionLevel, ServeConfig, ServerHandle};
 use cs2p_testkit::invariants::assert_serving_concurrency_independence;
-use cs2p_testkit::loadgen::{BatchSpec, LoadConfig};
+use cs2p_testkit::loadgen::{ops, send, BatchSpec, LoadConfig};
 use cs2p_testkit::scenarios::tiny_engine;
 use std::collections::BTreeSet;
-use std::io::{BufReader, BufWriter};
-use std::net::{SocketAddr, TcpStream};
-
-fn send(addr: SocketAddr, req: &Request) -> Response {
-    let stream = TcpStream::connect(addr).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = BufWriter::new(stream);
-    write_request(&mut writer, req).unwrap();
-    read_response(&mut reader).unwrap()
-}
-
-fn ops(addr: SocketAddr) -> OpsSnapshot {
-    let resp = send(addr, &Request::new("GET", "/ops", Vec::new()));
-    assert_eq!(resp.status, 200);
-    serde_json::from_slice(&resp.body).unwrap()
-}
+use std::net::SocketAddr;
 
 fn server(n_workers: usize) -> ServerHandle {
     let config = ServeConfig {
@@ -53,7 +38,6 @@ fn server(n_workers: usize) -> ServerHandle {
         n_shards: 4,
         queue_depth: 4096,
         max_sessions: 1 << 20,
-        session_ttl_requests: None,
         ..ServeConfig::default()
     };
     serve_with(tiny_engine(), "127.0.0.1:0", config).expect("server starts")
@@ -251,6 +235,13 @@ fn assert_frames_match_singles(
             entries[i].session_id
         );
     }
+    // Only answered entries count as served, on either path.
+    let answered = singles.iter().filter(|o| o.0 == 200).count() as u64;
+    assert_eq!(
+        (a.predictions_served(), b.predictions_served()),
+        (answered, answered),
+        "served count at {level:?}, frame_size={frame_size}"
+    );
 
     probe_states(a.addr(), b.addr(), base, n_sessions, frame_size);
     a.force_admission_level(None);
@@ -289,7 +280,8 @@ fn batch_frames_match_sequential_singles_end_to_end() {
 /// The ladder level as one more input: pinned at Full, Degraded and
 /// Fallback a frame must still equal its sequential expansion. On top
 /// of the mixed stream (registrations, measurements, the unregistered
-/// ghost) the script carries an invalid-horizon entry and an adjacent
+/// ghost) the script carries an invalid-horizon entry, a registration
+/// whose features do not fit the engine's schema, and an adjacent
 /// same-session pair; at Fallback every registration entry is a session
 /// with no measurement history (a 503 miss on both paths) and the ghost,
 /// which does carry a measurement, is answered.
@@ -297,6 +289,8 @@ fn batch_frames_match_sequential_singles_end_to_end() {
 fn batch_frames_match_sequential_singles_at_every_ladder_level() {
     const BASE: u64 = 51_000;
     const N_SESSIONS: u64 = 6;
+    // Where the feature-width mismatch lands in the script.
+    const MISMATCH: usize = 10;
     let mut entries = entry_stream(BASE, N_SESSIONS, 4);
     let measure = |sid: u64, mbps: f64| PredictRequest {
         session_id: sid,
@@ -314,6 +308,12 @@ fn batch_frames_match_sequential_singles_at_every_ladder_level() {
             PredictRequest {
                 horizon: 0,
                 ..measure(BASE + 1, 3.0)
+            },
+            PredictRequest {
+                session_id: BASE + N_SESSIONS + 1,
+                features: Some(vec![0, 1, 2]),
+                measured_mbps: None,
+                horizon: 2,
             },
         ],
     );
@@ -333,6 +333,9 @@ fn batch_frames_match_sequential_singles_at_every_ladder_level() {
                 _ => &[200, 400, 404],
             };
             assert!(statuses.iter().eq(expect), "{level:?}: {statuses:?}");
+            if level != AdmissionLevel::Fallback {
+                assert_eq!(outcomes[MISMATCH].0, 400, "{level:?}: width mismatch");
+            }
         }
     }
 }

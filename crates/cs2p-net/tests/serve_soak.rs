@@ -1,5 +1,5 @@
 //! Soak/churn test: hundreds of short-lived sessions against a server
-//! with a tight session-capacity bound and TTL eviction.
+//! with a tight session-capacity bound and LRU eviction.
 //!
 //! This file is its own test binary (one `#[test]`) because it flips the
 //! *global* cs2p-obs registry on and diffs its counters; sharing a
@@ -27,7 +27,6 @@ fn churn_of_500_sessions_respects_capacity_and_reports_evictions() {
         n_workers: 2,
         queue_depth: 2048,
         max_sessions: 64,
-        session_ttl_requests: Some(200),
         ..ServeConfig::default()
     };
     let capacity = config.max_sessions;

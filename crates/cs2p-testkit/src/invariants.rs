@@ -113,7 +113,6 @@ pub fn assert_serving_concurrency_independence(
             n_workers,
             queue_depth: 4096,
             max_sessions: 1 << 20,
-            session_ttl_requests: None,
             ..ServeConfig::default()
         }
     }

@@ -43,19 +43,48 @@
 //!
 //! The generated features are `[session_id % 2]`, matching the one-column
 //! (`isp`) schema of [`crate::scenarios::tiny_engine`].
+//!
+//! Beside the driver sit the one-shot exchanges the endpoint suites use
+//! ([`send`], [`predict`], [`ops`]): one request on a fresh connection.
 
 use crate::faults::{ChaosConfig, FaultCounts, FaultTally};
-use cs2p_net::http::Request;
+use cs2p_net::http::{read_response, write_request, Request, Response};
 use cs2p_net::protocol::{
     BatchPredictRequest, BatchPredictResponse, Degradation, PredictRequest, PredictResponse,
 };
-use cs2p_net::{HttpClient, RetryPolicy, ServerHandle};
+use cs2p_net::{HttpClient, OpsSnapshot, RetryPolicy, ServerHandle};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, BTreeSet};
-use std::net::SocketAddr;
+use std::io::{BufReader, BufWriter};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Sends `req` on a fresh connection and reads the whole response.
+pub fn send(addr: SocketAddr, req: &Request) -> Response {
+    let stream = TcpStream::connect(addr).expect("connect to the server");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone the stream"));
+    let mut writer = BufWriter::new(stream);
+    write_request(&mut writer, req).expect("write the request");
+    read_response(&mut reader).expect("read the response")
+}
+
+/// `POST /predict` through [`send`]; panics unless it answers 200.
+pub fn predict(addr: SocketAddr, preq: &PredictRequest) -> PredictResponse {
+    let body = serde_json::to_vec(preq).expect("a PredictRequest always serializes");
+    let resp = send(addr, &Request::new("POST", "/predict", body));
+    assert_eq!(resp.status, 200, "body: {:?}", resp.body);
+    serde_json::from_slice(&resp.body).expect("a 200 carries a PredictResponse")
+}
+
+/// `GET /ops` through [`send`]; panics unless it answers a JSON 200.
+pub fn ops(addr: SocketAddr) -> OpsSnapshot {
+    let resp = send(addr, &Request::new("GET", "/ops", Vec::new()));
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.header("content-type"), Some("application/json"));
+    serde_json::from_slice(&resp.body).expect("/ops answers an OpsSnapshot")
+}
 
 /// Sends of one frame a faulted run allows (on top of the client's own
 /// transport retries); a clean run sends every frame once.
