@@ -7,8 +7,8 @@
 //! of states and served as a lookup table. This implementation quantizes
 //! the buffer linearly and the prediction geometrically, solves each grid
 //! cell with the exact enumeration of [`Mpc`](super::Mpc), and answers
-//! online queries with one table read — the `perf` bench puts a number on
-//! the speedup.
+//! online queries with one table read — `cs2p-eval ablations` puts a
+//! number on the speedup.
 //!
 //! Quantization detail: each online state is *floored* onto the grid
 //! (never rounded up), so the table never acts on a rosier state than

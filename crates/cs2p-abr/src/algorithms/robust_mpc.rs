@@ -39,7 +39,7 @@ impl RobustMpc {
     }
 
     /// Current discount divisor `1 + max recent error`.
-    pub fn discount(&self) -> f64 {
+    fn discount(&self) -> f64 {
         1.0 + self.recent_errors.iter().copied().fold(0.0f64, f64::max)
     }
 }

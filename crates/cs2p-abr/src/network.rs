@@ -35,7 +35,7 @@ impl TraceNetwork {
     }
 
     /// Instantaneous rate at time `t`, Mbps.
-    pub fn rate_at(&self, t: f64) -> f64 {
+    fn rate_at(&self, t: f64) -> f64 {
         let idx = (t / self.epoch_seconds).floor() as usize;
         let idx = idx.min(self.trace_mbps.len() - 1);
         self.trace_mbps[idx]

@@ -108,14 +108,6 @@ impl SessionOutcome {
     pub fn total_rebuffer_seconds(&self) -> f64 {
         self.chunks.iter().map(|c| c.rebuffer_seconds).sum()
     }
-
-    /// Number of bitrate switches.
-    pub fn n_switches(&self) -> usize {
-        self.chunks
-            .windows(2)
-            .filter(|w| w[0].level != w[1].level)
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +164,6 @@ mod tests {
         assert!((outcome.avg_bitrate_kbps() - 5000.0 / 3.0).abs() < 1e-12);
         assert!((outcome.good_ratio() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(outcome.total_rebuffer_seconds(), 1.0);
-        assert_eq!(outcome.n_switches(), 0); // same level field everywhere
     }
 
     #[test]

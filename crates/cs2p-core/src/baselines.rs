@@ -156,7 +156,7 @@ impl LastMile {
     }
 
     /// LM over an arbitrary single feature column.
-    pub fn from_feature(
+    fn from_feature(
         name: &'static str,
         train: &Dataset,
         column: usize,
@@ -248,7 +248,7 @@ impl FeatureEncoder {
     }
 
     /// Encoded width.
-    pub fn dims(&self) -> usize {
+    fn dims(&self) -> usize {
         self.dims
     }
 

@@ -72,8 +72,7 @@ pub struct ClusterConfig {
     /// makes full-feature matches rare). `None` (the default) derives the
     /// set from the data: starting from the full set, the highest-
     /// cardinality column is dropped until the average pool reaches
-    /// [`min_est_sessions`](Self::min_est_sessions) — see
-    /// [`auto_est_feature_set`].
+    /// [`min_est_sessions`](Self::min_est_sessions).
     pub est_feature_set: Option<FeatureSet>,
 }
 
@@ -111,7 +110,7 @@ pub struct SpecSearch {
 /// values. At paper scale this returns the full set (matching the paper's
 /// definition); at reproduction scale it sheds near-unique columns that
 /// would starve every pool.
-pub fn auto_est_feature_set(dataset: &Dataset, min_pool: usize) -> FeatureSet {
+fn auto_est_feature_set(dataset: &Dataset, min_pool: usize) -> FeatureSet {
     let full = dataset.schema().full_set();
     if dataset.is_empty() {
         return full;

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum number of features a schema may carry (bitmask width).
-pub const MAX_FEATURES: usize = 32;
+const MAX_FEATURES: usize = 32;
 
 /// Names the feature columns of a dataset.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -25,7 +25,7 @@ pub struct FeatureSchema {
 
 impl FeatureSchema {
     /// Creates a schema from column names. Panics when empty or when more
-    /// than [`MAX_FEATURES`] columns are given.
+    /// than `MAX_FEATURES` (32) columns are given.
     pub fn new<S: Into<String>>(names: Vec<S>) -> Self {
         let names: Vec<String> = names.into_iter().map(Into::into).collect();
         assert!(!names.is_empty(), "schema needs at least one feature");
@@ -163,11 +163,6 @@ impl FeatureSet {
         i < MAX_FEATURES && self.0 & (1 << i) != 0
     }
 
-    /// True when every column of `other` is also in `self`.
-    pub fn is_superset_of(self, other: FeatureSet) -> bool {
-        self.0 & other.0 == other.0
-    }
-
     /// Iterates selected column indices in ascending order.
     pub fn iter(self) -> impl Iterator<Item = usize> {
         (0..MAX_FEATURES).filter(move |&i| self.contains(i))
@@ -222,15 +217,6 @@ mod tests {
         assert!(set.contains(5));
         assert_eq!(set.len(), 3);
         assert_eq!(set.iter().collect::<Vec<_>>(), vec![0, 2, 5]);
-    }
-
-    #[test]
-    fn superset_relation() {
-        let small = FeatureSet::from_indices(&[1]);
-        let big = FeatureSet::from_indices(&[0, 1, 3]);
-        assert!(big.is_superset_of(small));
-        assert!(!small.is_superset_of(big));
-        assert!(big.is_superset_of(FeatureSet::EMPTY));
     }
 
     #[test]

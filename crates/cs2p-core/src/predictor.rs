@@ -87,7 +87,7 @@ const CALIBRATION_CLAMP: (f64, f64) = (0.4, 2.5);
 /// stalls. The predictor therefore keeps an EWMA of
 /// `observed / predicted` and rescales the cluster model onto the session
 /// (on by default; [`without_calibration`](Self::without_calibration)
-/// disables it — the `ablations` bench quantifies the difference).
+/// disables it — `cs2p-eval ablations` quantifies the difference).
 #[derive(Debug, Clone)]
 pub struct Cs2pPredictor<'a> {
     model: &'a ClusterModel,

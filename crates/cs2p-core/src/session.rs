@@ -7,7 +7,8 @@
 use crate::features::FeatureVector;
 use serde::{Deserialize, Serialize};
 
-/// Default epoch length used by the paper's dataset.
+/// Default epoch length used by the paper's dataset, and the one the
+/// prediction server stamps on the sessions it records.
 pub const DEFAULT_EPOCH_SECONDS: u32 = 6;
 
 /// One video session: features, start time, and the epoch throughput series.
@@ -80,12 +81,6 @@ impl Session {
         cs2p_ml::stats::coefficient_of_variation(&self.throughput)
     }
 
-    /// Hour-of-day (0..24) of the session start, given the dataset origin
-    /// is aligned to midnight.
-    pub fn hour_of_day(&self) -> u64 {
-        (self.start_time / 3600) % 24
-    }
-
     /// Day index since the dataset origin.
     pub fn day(&self) -> u64 {
         self.start_time / 86_400
@@ -123,7 +118,6 @@ mod tests {
         // Day 1, 02:00.
         let s = session(86_400 + 2 * 3600 + 30, vec![1.0]);
         assert_eq!(s.day(), 1);
-        assert_eq!(s.hour_of_day(), 2);
     }
 
     #[test]

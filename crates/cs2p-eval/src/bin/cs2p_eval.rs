@@ -10,6 +10,7 @@
 //! cs2p-eval refresh-bench [--metrics out.jsonl]  # stale vs refreshed model table
 //! cs2p-eval persist-bench [--metrics out.jsonl]  # durable-server telemetry capture
 //! cs2p-eval degradation-bench [--metrics out.jsonl]  # ladder vs pure-503 QoE table
+//! cs2p-eval obs-overhead  # instrumentation cost, off / on / on with a sink
 //! cs2p-eval validate-metrics a.jsonl [b.jsonl] [--require stage,stage]
 //! cs2p-eval trace-report <metrics.jsonl>  # per-trace waterfalls
 //! ```
@@ -32,17 +33,20 @@
 //! forces the admission ladder's overload levels and certifies that the
 //! Fallback brownout strictly beats pure-503 shedding on simulated QoE,
 //! and that Fallback answers equal the paper's harmonic-mean baseline
-//! bit-for-bit (see DESIGN.md §3g). `validate-metrics` checks a metrics
-//! file against the schema — `--require` overrides the stage-coverage
-//! gate (default `train,predict,stream`); given two files it also diffs
-//! their determinism-normalized forms (the CI reproducibility gate).
+//! bit-for-bit (see DESIGN.md §3g). `obs-overhead` times EM training and
+//! the quantile sketch with the global registry off, on, and on with a
+//! memory sink (see OBSERVABILITY.md §Overhead). `validate-metrics`
+//! checks a metrics file against the schema — `--require` overrides the
+//! stage-coverage gate (default `train,predict,stream`); given two files
+//! it also diffs their determinism-normalized forms (the CI
+//! reproducibility gate).
 //! `trace-report` groups a metrics file by the `trace_id` the serving
 //! layer scopes over each request and prints the slowest `serve.request`
 //! spans plus per-trace waterfalls (see OBSERVABILITY.md).
 
 use cs2p_eval::experiments::{
-    chaos_bench, dataset_figs, degradation_bench, persist_bench, pilot, prediction, qoe,
-    refresh_bench, sens, serve_bench, trace_report,
+    ablations, chaos_bench, dataset_figs, degradation_bench, obs_overhead, persist_bench, pilot,
+    prediction, qoe, refresh_bench, sens, serve_bench, trace_report,
 };
 use cs2p_eval::{EvalConfig, Materials};
 use cs2p_obs::{schema, JsonlSink, Registry};
@@ -50,8 +54,24 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 const EXPERIMENTS: &[&str] = &[
-    "table1", "fig2", "fig3", "table2", "obs1", "fig4", "fig5", "fig6", "fig8", "fig9a", "fig9b",
-    "fig9c", "fcc", "qoe-mid", "qoe-init", "sens", "pilot",
+    "table1",
+    "fig2",
+    "fig3",
+    "table2",
+    "obs1",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig8",
+    "fig9a",
+    "fig9b",
+    "fig9c",
+    "fcc",
+    "qoe-mid",
+    "qoe-init",
+    "sens",
+    "pilot",
+    "ablations",
 ];
 
 /// What runs when only flags are given (e.g. `--small --metrics out.jsonl`):
@@ -69,6 +89,7 @@ fn usage() -> ExitCode {
     eprintln!("       cs2p-eval refresh-bench [--metrics out.jsonl]");
     eprintln!("       cs2p-eval persist-bench [--metrics out.jsonl]");
     eprintln!("       cs2p-eval degradation-bench [--metrics out.jsonl]");
+    eprintln!("       cs2p-eval obs-overhead");
     eprintln!("       cs2p-eval validate-metrics <a.jsonl> [b.jsonl] [--require stage,stage]");
     eprintln!("       cs2p-eval trace-report <metrics.jsonl>");
     eprintln!("experiments: {}", EXPERIMENTS.join(", "));
@@ -138,6 +159,7 @@ fn main() -> ExitCode {
             "refresh-bench" => Some(refresh_bench::refresh_bench),
             "persist-bench" => Some(persist_bench::persist_bench),
             "degradation-bench" => Some(degradation_bench::degradation_bench),
+            "obs-overhead" => Some(obs_overhead::obs_overhead),
             _ => None,
         },
         _ => None,
@@ -234,6 +256,7 @@ fn run_one(id: &str, materials: &Materials) {
         "qoe-init" => println!("{}", qoe::qoe_init(materials, 200)),
         "sens" => println!("{}", sens::sens(materials)),
         "pilot" => println!("{}", pilot::pilot(materials, 40)),
+        "ablations" => println!("{}", ablations::ablations(materials)),
         _ => unreachable!("validated above"),
     }
     eprintln!("[{id} took {:.1}s]", start.elapsed().as_secs_f64());

@@ -138,7 +138,7 @@ pub struct Fig4Report {
 
 impl Fig4Report {
     /// Mean episode length in epochs (persistence measure).
-    pub fn mean_episode_epochs(&self) -> f64 {
+    fn mean_episode_epochs(&self) -> f64 {
         if self.episodes.is_empty() {
             return 0.0;
         }
@@ -299,7 +299,8 @@ pub struct Fig6Report {
 
 impl Fig6Report {
     /// Spread under the full triple vs the best single feature.
-    pub fn triple_vs_best_single(&self) -> (f64, f64) {
+    #[cfg(test)]
+    fn triple_vs_best_single(&self) -> (f64, f64) {
         let triple = self.spreads.last().map(|(_, s, _)| *s).unwrap_or(f64::NAN);
         let best_single = self.spreads[..3]
             .iter()

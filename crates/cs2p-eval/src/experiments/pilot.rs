@@ -34,7 +34,7 @@ pub struct PilotReport {
 
 impl PilotReport {
     /// Pearson correlation of rebuffer forecast vs actual.
-    pub fn rebuffer_correlation(&self) -> f64 {
+    fn rebuffer_correlation(&self) -> f64 {
         correlation(&self.rebuffer_pairs)
     }
 }

@@ -109,7 +109,7 @@ impl ErrorCdfReport {
     }
 
     /// Relative reduction of CS2P's median error vs the best baseline.
-    pub fn cs2p_median_improvement(&self) -> Option<f64> {
+    fn cs2p_median_improvement(&self) -> Option<f64> {
         let cs2p = self.median_of("CS2P")?;
         let best_other = self
             .cdfs
@@ -272,7 +272,8 @@ pub struct Fig9cReport {
 
 impl Fig9cReport {
     /// The series for a named method.
-    pub fn series_of(&self, name: &str) -> Option<&[f64]> {
+    #[cfg(test)]
+    fn series_of(&self, name: &str) -> Option<&[f64]> {
         self.series
             .iter()
             .find(|(n, _)| n == name)

@@ -301,7 +301,8 @@ pub struct QoeMidReport {
 
 impl QoeMidReport {
     /// Median n-QoE of a named strategy.
-    pub fn median_nqoe(&self, name: &str) -> Option<f64> {
+    #[cfg(test)]
+    fn median_nqoe(&self, name: &str) -> Option<f64> {
         self.cdfs
             .iter()
             .find(|c| c.name == name)
@@ -309,7 +310,7 @@ impl QoeMidReport {
     }
 
     /// Mean AvgBitrate of a named strategy.
-    pub fn avg_bitrate_of(&self, name: &str) -> Option<f64> {
+    fn avg_bitrate_of(&self, name: &str) -> Option<f64> {
         self.avg_bitrate
             .iter()
             .find(|(n, _)| n == name)

@@ -22,6 +22,7 @@
 //! | `qoe-init` | §7.3 | [`experiments::qoe::qoe_init`] |
 //! | `sens` | §7.4 | [`experiments::sens::sens`] |
 //! | `pilot` | §7.5 | [`experiments::pilot::pilot`] |
+//! | `ablations` | DESIGN.md's design choices, §5.3 FastMPC | [`experiments::ablations::ablations`] |
 //!
 //! The `cs2p-eval` binary runs any of them by id.
 

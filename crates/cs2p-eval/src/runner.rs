@@ -1,12 +1,15 @@
-//! Shared prediction-evaluation loops and text-report helpers.
+//! Shared prediction-evaluation loops, text-report helpers and the one
+//! timing helper.
 
 use cs2p_core::{abs_normalized_error, Dataset, Session, ThroughputPredictor};
 use cs2p_ml::stats::{self, Ecdf};
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 /// Walks one session through a predictor, collecting the absolute
 /// normalized error (Eq. 1) of every one-step midstream prediction.
 #[allow(clippy::needless_range_loop)] // t indexes actuals and predictions in lockstep
-pub fn midstream_errors_for_session(
+fn midstream_errors_for_session(
     predictor: &mut dyn ThroughputPredictor,
     session: &Session,
 ) -> Vec<f64> {
@@ -156,6 +159,28 @@ fn truncate(s: &str, n: usize) -> &str {
 
 /// Standard quantile grid for report tables.
 pub const REPORT_QUANTILES: [f64; 9] = [0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0];
+
+/// Median wall time of one `routine` call: one warm-up call sizes the
+/// batches to about 1 ms (1 to 10,000 calls each), then `samples`
+/// batches are timed and each is divided by its call count. Every result
+/// goes through `black_box`, so the work cannot be optimised away.
+pub fn median_per_iter<T>(samples: usize, mut routine: impl FnMut() -> T) -> Duration {
+    let start = Instant::now();
+    black_box(routine());
+    let once = start.elapsed().max(Duration::from_nanos(50));
+    let iters = (Duration::from_millis(1).as_nanos() / once.as_nanos()).clamp(1, 10_000) as u32;
+    let mut times: Vec<Duration> = (0..samples.max(1))
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..iters {
+                black_box(routine());
+            }
+            start.elapsed() / iters
+        })
+        .collect();
+    times.sort_unstable();
+    times[times.len() / 2]
+}
 
 #[cfg(test)]
 mod tests {

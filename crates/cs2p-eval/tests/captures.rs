@@ -6,7 +6,9 @@
 //! producing a record family, or two same-seed runs that drift apart,
 //! fail here. The benches' own in-code certificates (the ladder beating
 //! pure-503 shedding, Fallback equal to the harmonic mean, the chaos
-//! ledger's one re-registration per forced eviction) run too.
+//! ledger's one re-registration per forced eviction) run too, and so do
+//! the two experiments that time rather than capture: `ablations` and
+//! `obs-overhead`.
 
 use cs2p_testkit::crash::TempDir;
 use std::path::Path;
@@ -176,4 +178,46 @@ fn degradation_capture_is_reproducible_and_carries_ladder_telemetry() {
             "predict.client.fallback",
         ],
     );
+}
+
+/// The two experiments that time rather than capture: `ablations` prints
+/// the same `[ablation]` comparisons on every run of the same seed, and
+/// `obs-overhead` renders all six rows of its two tables.
+#[test]
+fn ablations_reproduce_and_obs_overhead_renders_its_rows() {
+    let dir = TempDir::new("timed-experiments");
+    let dir = dir.path();
+    let comparisons = |stdout: String| -> Vec<String> {
+        let lines: Vec<String> = stdout
+            .lines()
+            .filter(|l| !l.starts_with("[timing]") && !l.starts_with("====") && !l.is_empty())
+            .map(String::from)
+            .collect();
+        assert!(
+            lines.first().is_some_and(|l| l.starts_with("[ablation]")),
+            "no [ablation] block:\n{stdout}"
+        );
+        lines
+    };
+    let first = comparisons(eval(dir, &["--small", "ablations"]));
+    assert_eq!(
+        first.iter().filter(|l| l.starts_with("[ablation]")).count(),
+        6
+    );
+    assert_eq!(first, comparisons(eval(dir, &["--small", "ablations"])));
+
+    let overhead = eval(dir, &["obs-overhead"]);
+    for row in [
+        "disabled",
+        "enabled, no sink",
+        "enabled, mem sink",
+        "raw sketch",
+        "registry disabled",
+        "registry enabled",
+    ] {
+        assert!(
+            overhead.lines().any(|l| l.trim_start().starts_with(row)),
+            "obs-overhead has no `{row}` row:\n{overhead}"
+        );
+    }
 }

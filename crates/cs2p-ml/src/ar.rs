@@ -63,7 +63,7 @@ impl ArModel {
 /// required, but `series.len() > p` is). Returns `None` when there is too
 /// little data or the design matrix is singular (e.g. a constant series —
 /// in which case lags are perfectly collinear with the intercept).
-pub fn fit_ar(series: &[f64], p: usize) -> Option<ArModel> {
+fn fit_ar(series: &[f64], p: usize) -> Option<ArModel> {
     assert!(p >= 1, "AR order must be at least 1");
     if series.len() <= p {
         return None;

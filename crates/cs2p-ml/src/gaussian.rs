@@ -5,7 +5,7 @@
 //! hidden state `x`, throughput is `N(mu_x, sigma_x^2)`. The paper notes the
 //! HMM is agnostic to the emission family; Gaussian is chosen for accuracy
 //! on their data and computational simplicity. We mirror that and also
-//! provide a log-normal emission (used in an ablation bench).
+//! provide a log-normal emission (compared in `cs2p-eval ablations`).
 
 use serde::{Deserialize, Serialize};
 
@@ -76,48 +76,6 @@ impl Gaussian {
         let var = crate::stats::variance(xs)?;
         Some(Gaussian::new(mu, var.sqrt()))
     }
-
-    /// Weighted maximum-likelihood fit: `mu = sum(w x) / sum(w)`,
-    /// `var = sum(w (x - mu)^2) / sum(w)`. Used by the Baum–Welch M-step,
-    /// where weights are state-occupancy posteriors.
-    ///
-    /// Returns `None` when the total weight is not strictly positive.
-    pub fn fit_weighted(xs: &[f64], ws: &[f64]) -> Option<Self> {
-        assert_eq!(xs.len(), ws.len(), "weights/values length mismatch");
-        let total: f64 = ws.iter().sum();
-        if total <= 0.0 || !total.is_finite() {
-            return None;
-        }
-        let mu = xs.iter().zip(ws).map(|(x, w)| x * w).sum::<f64>() / total;
-        let var = xs
-            .iter()
-            .zip(ws)
-            .map(|(x, w)| w * (x - mu) * (x - mu))
-            .sum::<f64>()
-            / total;
-        Some(Gaussian::new(mu, var.sqrt()))
-    }
-
-    /// Standard normal CDF via the Abramowitz–Stegun erf approximation
-    /// (7.1.26), accurate to ~1.5e-7 — plenty for workload generation and
-    /// goodness-of-fit checks.
-    pub fn cdf(&self, x: f64) -> f64 {
-        let z = (x - self.mu) / (self.sigma * std::f64::consts::SQRT_2);
-        0.5 * (1.0 + erf(z))
-    }
-}
-
-/// Error function approximation (Abramowitz & Stegun 7.1.26).
-pub fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    let t = 1.0 / (1.0 + 0.327_591_1 * x);
-    let y = 1.0
-        - (((((1.061_405_429 * t - 1.453_152_027) * t) + 1.421_413_741) * t - 0.284_496_736) * t
-            + 0.254_829_592)
-            * t
-            * (-x * x).exp();
-    sign * y
 }
 
 /// Draws a standard normal variate via Box–Muller from two uniforms.
@@ -186,50 +144,11 @@ mod tests {
     }
 
     #[test]
-    fn fit_weighted_uniform_equals_fit() {
-        let xs = [1.0, 2.0, 3.0, 10.0];
-        let ws = [1.0; 4];
-        let a = Gaussian::fit(&xs).unwrap();
-        let b = Gaussian::fit_weighted(&xs, &ws).unwrap();
-        assert_close(a.mu, b.mu, 1e-12);
-        assert_close(a.sigma, b.sigma, 1e-12);
-    }
-
-    #[test]
-    fn fit_weighted_ignores_zero_weight_points() {
-        let xs = [1.0, 2.0, 100.0];
-        let ws = [1.0, 1.0, 0.0];
-        let g = Gaussian::fit_weighted(&xs, &ws).unwrap();
-        assert_close(g.mu, 1.5, 1e-12);
-    }
-
-    #[test]
-    fn fit_weighted_rejects_zero_total() {
-        assert!(Gaussian::fit_weighted(&[1.0], &[0.0]).is_none());
-    }
-
-    #[test]
     fn sigma_clamped() {
         let g = Gaussian::new(1.0, 0.0);
         assert_eq!(g.sigma, MIN_SIGMA);
         let g = Gaussian::fit(&[3.0, 3.0, 3.0]).unwrap();
         assert_eq!(g.sigma, MIN_SIGMA);
-    }
-
-    #[test]
-    fn cdf_symmetry_and_limits() {
-        let g = Gaussian::standard();
-        assert_close(g.cdf(0.0), 0.5, 1e-7);
-        assert_close(g.cdf(1.96), 0.975, 1e-3);
-        assert_close(g.cdf(-1.96), 0.025, 1e-3);
-        assert_close(g.cdf(8.0), 1.0, 1e-7);
-    }
-
-    #[test]
-    fn erf_known_values() {
-        assert_close(erf(0.0), 0.0, 1e-7);
-        assert_close(erf(1.0), 0.842_700_792_949_715, 1e-6);
-        assert_close(erf(-1.0), -0.842_700_792_949_715, 1e-6);
     }
 
     #[test]

@@ -100,18 +100,6 @@ impl Gbrt {
         self.base + self.learning_rate * self.trees.iter().map(|t| t.predict(row)).sum::<f64>()
     }
 
-    /// Predictions after each boosting stage (for learning-curve tests).
-    pub fn staged_predict(&self, row: &[f64]) -> Vec<f64> {
-        let mut acc = self.base;
-        self.trees
-            .iter()
-            .map(|t| {
-                acc += self.learning_rate * t.predict(row);
-                acc
-            })
-            .collect()
-    }
-
     /// Number of boosting stages.
     pub fn n_trees(&self) -> usize {
         self.trees.len()
@@ -160,15 +148,6 @@ mod tests {
         let var = crate::stats::variance(&y).unwrap();
         let err = mse(&model, &x, &y);
         assert!(err < 0.1 * var, "mse {err} vs var {var}");
-    }
-
-    #[test]
-    fn staged_predictions_converge_to_final() {
-        let (x, y) = friedman_like(128);
-        let model = Gbrt::fit(&x, &y, &GbrtConfig::default());
-        let staged = model.staged_predict(&x[10]);
-        assert_eq!(staged.len(), model.n_trees());
-        assert!((staged.last().unwrap() - model.predict(&x[10])).abs() < 1e-9);
     }
 
     #[test]

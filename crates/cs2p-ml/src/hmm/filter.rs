@@ -89,18 +89,9 @@ impl<'a> HmmFilter<'a> {
         self.state.predict_horizon(self.hmm, out);
     }
 
-    /// Posterior-expected throughput `sum_i pi_i mu_i` for the next epoch —
-    /// the soft alternative to the paper's MLE readout (ablation).
-    pub fn expected_next(&self) -> f64 {
-        let dist = self.predicted_distribution(1);
-        dist.iter()
-            .zip(&self.hmm.emissions)
-            .map(|(p, e)| p * e.mean())
-            .sum()
-    }
-
     /// Most probable state for the next epoch.
-    pub fn map_state(&self) -> usize {
+    #[cfg(test)]
+    fn map_state(&self) -> usize {
         argmax(&self.predicted_distribution(1))
     }
 
@@ -324,18 +315,6 @@ mod tests {
         for (a, b) in far.iter().zip(&stationary) {
             assert!((a - b).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn expected_next_is_convex_combination_of_means() {
-        let hmm = toy_hmm();
-        let mut f = hmm.filter();
-        f.observe(1.0);
-        let exp = f.expected_next();
-        let mus: Vec<f64> = hmm.emissions.iter().map(|e| e.mean()).collect();
-        let lo = mus.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = mus.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        assert!(exp >= lo && exp <= hi);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! is thin in exactly these areas, so this crate implements them from
 //! scratch, self-contained and deterministic:
 //!
-//! - [`stats`] — means, percentiles, ECDFs, entropy / relative information
-//!   gain;
+//! - [`stats`] — means, percentiles, ECDFs;
 //! - [`gaussian`] — univariate normal pdf / fitting / sampling;
 //! - [`matrix`] — small dense matrices, Gaussian-elimination solve, OLS;
 //! - [`hmm`] — the Gaussian-emission HMM: scaled forward–backward,
@@ -17,8 +16,7 @@
 //! - [`ar`] — AR(p) fitting and the adaptive AR baseline;
 //! - [`tree`] / [`gbrt`] — CART regression trees and gradient boosting
 //!   (the paper's GBR baseline);
-//! - [`svr`] — epsilon-SVR trained by SMO (the paper's SVR baseline);
-//! - [`crossval`] — k-fold utilities shared by model selection.
+//! - [`svr`] — epsilon-SVR trained by SMO (the paper's SVR baseline).
 //!
 //! Everything is deterministic given a seed; no global state, no threads.
 
@@ -29,7 +27,6 @@
 #![deny(clippy::print_stderr)]
 
 pub mod ar;
-pub mod crossval;
 pub mod gaussian;
 pub mod gbrt;
 pub mod hmm;

@@ -48,12 +48,6 @@ impl Matrix {
         }
     }
 
-    /// Builds from a flat row-major buffer; panics on a size mismatch.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "buffer size mismatch");
-        Matrix { rows, cols, data }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -80,7 +74,7 @@ impl Matrix {
     }
 
     /// Matrix product `self * other`; panics on a dimension mismatch.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
+    fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
         let mut out = Matrix::zeros(self.rows, other.cols);
         for i in 0..self.rows {
@@ -194,11 +188,6 @@ impl Matrix {
         }
         Some(x)
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -299,7 +288,7 @@ mod tests {
         for case in 0..200 {
             let (rows, cols) = (rng.gen_range(1..=9), rng.gen_range(1..=9));
             let data = (0..rows * cols).map(|_| rng.gen_range(-2.0..2.0)).collect();
-            let m = Matrix::from_vec(rows, cols, data);
+            let m = Matrix { rows, cols, data };
             // Zero entries (which `vecmat` skips, so an infinite matrix
             // entry behind one must not turn into NaN) in half the cases.
             let v: Vec<f64> = (0..rows)
@@ -379,11 +368,5 @@ mod tests {
     fn ols_collinear_returns_none() {
         let xs = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0], vec![3.0, 6.0]]);
         assert!(ols(&xs, &[1.0, 2.0, 3.0]).is_none());
-    }
-
-    #[test]
-    fn frobenius_norm_known() {
-        let a = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, 4.0]]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! The paper leans on a small set of summary statistics: means (arithmetic
 //! and harmonic), medians and other percentiles, the coefficient of
-//! variation (Observation 1 in §3), empirical CDFs (Figures 3, 5, 9), and
-//! relative information gain (Observation 4). All of them live here so the
-//! higher layers never reimplement them ad hoc.
+//! variation (Observation 1 in §3) and empirical CDFs (Figures 3, 5, 9).
+//! All of them live here so the higher layers never reimplement them ad
+//! hoc.
 //!
 //! Conventions:
 //! - All functions operate on `&[f64]` slices and never mutate their input;
@@ -24,15 +24,6 @@ pub fn mean(xs: &[f64]) -> Option<f64> {
 pub fn variance(xs: &[f64]) -> Option<f64> {
     let m = mean(xs)?;
     Some(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64)
-}
-
-/// Sample variance (divides by `n - 1`). Returns `None` when `n < 2`.
-pub fn sample_variance(xs: &[f64]) -> Option<f64> {
-    if xs.len() < 2 {
-        return None;
-    }
-    let m = mean(xs)?;
-    Some(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64)
 }
 
 /// Population standard deviation.
@@ -81,7 +72,7 @@ pub fn percentile(xs: &[f64], p: f64) -> Option<f64> {
 }
 
 /// Percentile of an already-sorted slice (ascending). Panics on empty input.
-pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
+fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of empty slice");
     if sorted.len() == 1 {
         return sorted[0];
@@ -111,62 +102,6 @@ pub fn max(xs: &[f64]) -> Option<f64> {
         None => Some(x),
         Some(a) => Some(a.max(x)),
     })
-}
-
-/// Shannon entropy (bits) of a discrete distribution given as counts.
-///
-/// Zero counts contribute nothing. Returns 0.0 when all mass is on a single
-/// outcome and `None` when the total count is zero.
-pub fn entropy_from_counts(counts: &[usize]) -> Option<f64> {
-    let total: usize = counts.iter().sum();
-    if total == 0 {
-        return None;
-    }
-    let total = total as f64;
-    let mut h = 0.0;
-    for &c in counts {
-        if c > 0 {
-            let p = c as f64 / total;
-            h -= p * p.log2();
-        }
-    }
-    Some(h)
-}
-
-/// Relative information gain `RIG(Y|X) = 1 - H(Y|X) / H(Y)` (§3,
-/// Observation 4), computed from a contingency table.
-///
-/// `table[i][j]` is the joint count of `X = x_i`, `Y = y_j`. Returns `None`
-/// when the table is empty or `H(Y) = 0` (Y is deterministic, so "gain"
-/// is undefined).
-pub fn relative_information_gain(table: &[Vec<usize>]) -> Option<f64> {
-    if table.is_empty() || table.iter().all(|row| row.iter().all(|&c| c == 0)) {
-        return None;
-    }
-    let n_y = table[0].len();
-    assert!(
-        table.iter().all(|row| row.len() == n_y),
-        "ragged contingency table"
-    );
-    let total: usize = table.iter().map(|row| row.iter().sum::<usize>()).sum();
-    let y_counts: Vec<usize> = (0..n_y)
-        .map(|j| table.iter().map(|row| row[j]).sum())
-        .collect();
-    let h_y = entropy_from_counts(&y_counts)?;
-    if h_y == 0.0 {
-        return None;
-    }
-    // H(Y|X) = sum_i P(x_i) H(Y | X = x_i)
-    let mut h_y_given_x = 0.0;
-    for row in table {
-        let row_total: usize = row.iter().sum();
-        if row_total == 0 {
-            continue;
-        }
-        let h_row = entropy_from_counts(row).unwrap_or(0.0);
-        h_y_given_x += row_total as f64 / total as f64 * h_row;
-    }
-    Some(1.0 - h_y_given_x / h_y)
 }
 
 /// An empirical cumulative distribution function over a sample.
@@ -213,11 +148,6 @@ impl Ecdf {
         percentile_of_sorted(&self.sorted, q.clamp(0.0, 1.0) * 100.0)
     }
 
-    /// The underlying sorted sample.
-    pub fn sorted_values(&self) -> &[f64] {
-        &self.sorted
-    }
-
     /// Samples the CDF at `n` evenly spaced quantiles, returning `(x, F(x))`
     /// pairs suitable for plotting or table output.
     pub fn curve(&self, n: usize) -> Vec<(f64, f64)> {
@@ -251,12 +181,6 @@ mod tests {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_close(variance(&xs).unwrap(), 4.0);
         assert_close(stddev(&xs).unwrap(), 2.0);
-    }
-
-    #[test]
-    fn sample_variance_needs_two() {
-        assert_eq!(sample_variance(&[1.0]), None);
-        assert_close(sample_variance(&[1.0, 3.0]).unwrap(), 2.0);
     }
 
     #[test]
@@ -304,33 +228,6 @@ mod tests {
         assert_close(max(&[3.0, -1.0, 2.0]).unwrap(), 3.0);
         assert_eq!(min(&[]), None);
         assert_eq!(max(&[]), None);
-    }
-
-    #[test]
-    fn entropy_uniform_and_point_mass() {
-        assert_close(entropy_from_counts(&[1, 1, 1, 1]).unwrap(), 2.0);
-        assert_close(entropy_from_counts(&[5, 0, 0]).unwrap(), 0.0);
-        assert_eq!(entropy_from_counts(&[0, 0]), None);
-    }
-
-    #[test]
-    fn rig_perfect_predictor() {
-        // X fully determines Y -> H(Y|X) = 0 -> RIG = 1.
-        let table = vec![vec![10, 0], vec![0, 10]];
-        assert_close(relative_information_gain(&table).unwrap(), 1.0);
-    }
-
-    #[test]
-    fn rig_independent_predictor() {
-        // X independent of Y -> H(Y|X) = H(Y) -> RIG = 0.
-        let table = vec![vec![5, 5], vec![5, 5]];
-        assert_close(relative_information_gain(&table).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn rig_undefined_for_deterministic_y() {
-        let table = vec![vec![5, 0], vec![7, 0]];
-        assert_eq!(relative_information_gain(&table), None);
     }
 
     #[test]

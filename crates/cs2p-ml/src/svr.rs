@@ -164,16 +164,6 @@ impl Svr {
             .map(|(sv, b)| b * (self.kernel.eval(sv, row) + 1.0))
             .sum()
     }
-
-    /// Number of support vectors retained.
-    pub fn n_support(&self) -> usize {
-        self.support.len()
-    }
-
-    /// Coordinate-descent sweeps used during training.
-    pub fn sweeps_used(&self) -> usize {
-        self.sweeps_used
-    }
 }
 
 fn soft_threshold(r: f64, eps: f64) -> f64 {
@@ -260,7 +250,7 @@ mod tests {
             ..Default::default()
         };
         let model = Svr::fit(&x, &y, &cfg);
-        assert_eq!(model.n_support(), 0);
+        assert!(model.support.is_empty());
         assert_eq!(model.predict(&[5.0]), 0.0);
     }
 
@@ -286,7 +276,7 @@ mod tests {
         let x: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64 / 20.0]).collect();
         let y: Vec<f64> = x.iter().map(|r| r[0]).collect();
         let model = Svr::fit(&x, &y, &SvrConfig::default());
-        assert!(model.sweeps_used() < SvrConfig::default().max_sweeps);
+        assert!(model.sweeps_used < SvrConfig::default().max_sweeps);
     }
 
     #[test]

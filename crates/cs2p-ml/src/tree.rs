@@ -100,19 +100,6 @@ impl RegressionTree {
         }
     }
 
-    /// Number of nodes (leaves + splits).
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of leaves.
-    pub fn n_leaves(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, Node::Leaf { .. }))
-            .count()
-    }
-
     /// Maximum depth actually reached.
     pub fn depth(&self) -> usize {
         fn walk(nodes: &[Node], i: usize) -> usize {
@@ -251,7 +238,7 @@ mod tests {
             ..Default::default()
         };
         let tree = RegressionTree::fit(&x, &y, &cfg);
-        assert_eq!(tree.n_nodes(), 1);
+        assert_eq!(tree.nodes.len(), 1);
         let mean = y.iter().sum::<f64>() / y.len() as f64;
         assert!((tree.predict(&[0.3]) - mean).abs() < 1e-12);
     }
@@ -296,7 +283,7 @@ mod tests {
         let x: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
         let y = vec![7.0; 20];
         let tree = RegressionTree::fit(&x, &y, &TreeConfig::default());
-        assert_eq!(tree.n_nodes(), 1);
+        assert_eq!(tree.nodes.len(), 1);
         assert!((tree.predict(&[3.0]) - 7.0).abs() < 1e-12);
     }
 
@@ -305,7 +292,7 @@ mod tests {
         let x: Vec<Vec<f64>> = (0..20).map(|_| vec![1.0, 2.0]).collect();
         let y: Vec<f64> = (0..20).map(|i| i as f64).collect();
         let tree = RegressionTree::fit(&x, &y, &TreeConfig::default());
-        assert_eq!(tree.n_leaves(), 1);
+        assert_eq!(tree.nodes.len(), 1);
     }
 
     #[test]
@@ -372,7 +359,7 @@ mod tests {
             min_samples_split: 2,
         };
         let tree = RegressionTree::fit(&x, &y, &cfg);
-        assert_eq!(tree.n_nodes(), 1);
+        assert_eq!(tree.nodes.len(), 1);
         assert!((tree.predict(&[0.0, 0.0]) - 3.0).abs() < 1e-9);
     }
 

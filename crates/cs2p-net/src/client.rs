@@ -321,15 +321,9 @@ impl HttpClient {
     /// The breaker's current state, or `None` when no breaker is armed.
     /// An expired open state still reads `Open` until the next request
     /// promotes it to the half-open probe.
-    pub fn breaker_state(&self) -> Option<BreakerState> {
+    #[cfg(test)]
+    fn breaker_state(&self) -> Option<BreakerState> {
         self.breaker.as_ref().map(|b| b.state)
-    }
-
-    /// `Retry-After` seconds carried by the most recent 503 (cleared by
-    /// the next non-503 success). Floors the next
-    /// [`Self::note_backpressure`] delay.
-    pub fn retry_after_hint_secs(&self) -> Option<u64> {
-        self.retry_after_hint_secs
     }
 
     /// Consecutive failed attempts the backoff state currently remembers
@@ -372,7 +366,7 @@ impl HttpClient {
     /// header, its value floors the delay — the server knows how long it
     /// wants to drain better than the client's own schedule does
     /// (`client.retry.floored` counts how often the floor won).
-    pub fn note_backpressure(&mut self) {
+    fn note_backpressure(&mut self) {
         cs2p_obs::counter_add("client.retry.backpressure", 1);
         let mut delay = self.backoff.next_delay(&self.retry);
         if let Some(secs) = self.retry_after_hint_secs {
@@ -390,8 +384,7 @@ impl HttpClient {
     /// failures (broken connection, reset, timeout) are retried up to
     /// [`RetryPolicy::max_attempts`] with seeded capped-exponential
     /// backoff; HTTP error statuses are returned to the caller, but a
-    /// 503 does *not* reset the backoff state (see
-    /// [`Self::note_backpressure`]). With [`Self::with_breaker`] armed,
+    /// 503 does *not* reset the backoff state (see `note_backpressure`). With [`Self::with_breaker`] armed,
     /// an open breaker fails the request fast (`client.breaker.fast_fails`)
     /// without connecting or charging `net.client.*` / `client.retry.*`
     /// — nothing actually went over the wire.
@@ -968,13 +961,13 @@ mod tests {
         let sink = Arc::clone(&delays);
         let mut client =
             HttpClient::new(server.addr()).with_sleeper(Arc::new(move |d| sink.lock().push(d)));
-        assert_eq!(client.retry_after_hint_secs(), None);
+        assert_eq!(client.retry_after_hint_secs, None);
         let resp = client
             .send(&Request::new("GET", "/healthz", Bytes::new()))
             .unwrap();
         assert_eq!(resp.status, 503);
         assert_eq!(
-            client.retry_after_hint_secs(),
+            client.retry_after_hint_secs,
             Some(1),
             "the 503's Retry-After header must be captured"
         );
@@ -999,7 +992,7 @@ mod tests {
             client.reset_connection();
         }
         assert!(ok, "server never freed the connection slot");
-        assert_eq!(client.retry_after_hint_secs(), None);
+        assert_eq!(client.retry_after_hint_secs, None);
         delays.lock().clear();
         client.note_backpressure();
         assert!(

@@ -268,7 +268,7 @@ impl LocalModelPredictor {
     }
 
     /// Wraps an already-obtained model.
-    pub fn from_model(model: ClientModel) -> Self {
+    fn from_model(model: ClientModel) -> Self {
         let state = FilterState::new(&model.model.hmm);
         LocalModelPredictor { model, state }
     }

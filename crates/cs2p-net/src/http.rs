@@ -14,11 +14,11 @@ use bytes::Bytes;
 use std::io::{self, BufRead, Write};
 
 /// Maximum accepted header-block size in bytes.
-pub const MAX_HEADER_BYTES: usize = 16 * 1024;
+const MAX_HEADER_BYTES: usize = 16 * 1024;
 /// Maximum accepted body size in bytes.
 pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 /// Maximum number of headers.
-pub const MAX_HEADERS: usize = 64;
+const MAX_HEADERS: usize = 64;
 /// `Retry-After` value on every 503, whichever path sheds the request.
 const RETRY_AFTER_SECONDS: u64 = 1;
 

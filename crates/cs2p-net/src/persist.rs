@@ -203,7 +203,7 @@ pub fn read_wal(path: &Path) -> io::Result<WalReplay> {
 /// Writes `bytes` to `path` crash-safely: `<path>.tmp` + fsync + rename.
 /// Readers (and post-crash recovery) see either the old complete file or
 /// the new complete file, never a torn one.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
         let mut file = File::create(&tmp)?;
@@ -715,7 +715,7 @@ impl WalRecord {
 
     /// Appends this record's binary WAL payload to `out` — what the WAL
     /// and snapshot writers frame in place.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::Register { id, tick, session } => put_register(out, *id, *tick, session),
             WalRecord::Update {

@@ -12,6 +12,7 @@ use crate::quality::{ape, QualityMonitor};
 use crate::recorder::{SessionRecorder, SERVER_MIN_EPOCHS};
 use crate::store::{SessionStore, ShardGuard};
 use cs2p_core::engine::{ClusterModel, TrainSummary};
+use cs2p_core::session::DEFAULT_EPOCH_SECONDS;
 use cs2p_core::{
     ClientModel, Dataset, FeatureVector, ModelRegistry, ModelVersion, PredictionEngine,
 };
@@ -26,9 +27,6 @@ const MAX_HORIZON: usize = 32;
 /// Cap on per-session recorded observations (a marathon session cannot
 /// grow its training record unboundedly; later epochs are dropped).
 pub(super) const MAX_RECORDED_EPOCHS: usize = 1024;
-/// Epoch length stamped on recorded sessions (the paper's 6-second
-/// epoch; the wire protocol carries no timing, so this is nominal).
-const RECORD_EPOCH_SECONDS: u32 = 6;
 
 /// A prediction's quality outcome, carried out of the shard lock: the
 /// scored `(was_initial, ape)` pair for the previous prediction, or a
@@ -127,7 +125,9 @@ impl AppState {
         let (_, engine) = registry.current();
         let recorder = Arc::new(SessionRecorder::new(
             engine.schema().clone(),
-            RECORD_EPOCH_SECONDS,
+            // The wire protocol carries no timing, so the recorded epoch
+            // length is the paper's nominal one.
+            DEFAULT_EPOCH_SECONDS,
             config.refresh.recorder_capacity,
             SERVER_MIN_EPOCHS,
         ));

@@ -3,8 +3,8 @@
 //! Histograms bucket by powers of two: a sample `v > 0` lands in the
 //! bucket whose exponent is `ceil(log2 v)`, i.e. the bucket with upper
 //! bound `2^e` holds samples in `(2^(e-1), 2^e]`. Exponents are clamped to
-//! [`MIN_EXP`]..=[`MAX_EXP`]; zero and negative samples land in the
-//! dedicated [`ZERO_EXP`] bucket. Two snapshots of the same metric taken
+//! `MIN_EXP..=MAX_EXP` (−64..=127); zero and negative samples land in the
+//! dedicated `ZERO_EXP` bucket. Two snapshots of the same metric taken
 //! on different threads (or processes) merge by plain addition, so
 //! sharded pipelines can aggregate without precision loss.
 
@@ -12,14 +12,14 @@ use std::collections::BTreeMap;
 
 /// Smallest exponent tracked: `2^-64` is far below any microsecond or
 /// megabit quantity this workspace measures.
-pub const MIN_EXP: i32 = -64;
+const MIN_EXP: i32 = -64;
 /// Largest exponent tracked (`2^127` overflows nothing we count).
-pub const MAX_EXP: i32 = 127;
+const MAX_EXP: i32 = 127;
 /// Pseudo-exponent of the bucket holding zero and negative samples.
-pub const ZERO_EXP: i32 = MIN_EXP - 1;
+const ZERO_EXP: i32 = MIN_EXP - 1;
 
 /// The power-of-two bucket exponent for a sample.
-pub fn bucket_exp(v: f64) -> i32 {
+fn bucket_exp(v: f64) -> i32 {
     if v.is_nan() || v <= 0.0 {
         return ZERO_EXP;
     }

@@ -5,8 +5,8 @@
 //! in [`crate`] (e.g. [`crate::counter_add`]), which forward to the
 //! process-global registry. The global starts **disabled**: every call
 //! short-circuits on one relaxed atomic load, so un-observed runs pay
-//! (measurably, see `crates/bench/benches/obs_overhead.rs`) almost
-//! nothing. Tests that need isolation construct their own [`Registry`]
+//! almost nothing (`cs2p-eval obs-overhead` measures it). Tests that
+//! need isolation construct their own [`Registry`]
 //! (usually with a [`ManualClock`](crate::clock::ManualClock)) instead of
 //! sharing the global.
 
@@ -73,11 +73,6 @@ impl Registry {
     /// Turns instrumentation on or off.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::SeqCst);
-    }
-
-    /// Replaces the clock (timestamps of later records use it).
-    pub fn set_clock(&self, clock: Arc<dyn Clock>) {
-        *self.clock.write() = clock;
     }
 
     /// Current time on the registry's clock.
@@ -248,14 +243,6 @@ impl Registry {
                 .map(|(k, q)| (k.clone(), q.snapshot()))
                 .collect(),
         }
-    }
-
-    /// Clears every metric table (sinks and enablement are unaffected).
-    pub fn reset_metrics(&self) {
-        self.counters.lock().clear();
-        self.gauges.lock().clear();
-        self.histograms.lock().clear();
-        self.quantiles.lock().clear();
     }
 
     /// Emits one record per metric (counter/gauge/histogram rows) to the

@@ -23,7 +23,7 @@ use serde::Value;
 use std::collections::BTreeSet;
 
 /// The valid `kind` strings.
-pub const KINDS: [&str; 6] = ["event", "span", "counter", "gauge", "histogram", "quantile"];
+const KINDS: [&str; 6] = ["event", "span", "counter", "gauge", "histogram", "quantile"];
 
 /// What a validated JSONL file covered.
 #[derive(Debug, Clone, Default, PartialEq)]

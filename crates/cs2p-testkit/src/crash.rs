@@ -134,12 +134,6 @@ impl CrashPlan {
         }
     }
 
-    /// Commit points this plan has seen (attempted commits, including
-    /// the one it killed).
-    pub fn commits_seen(&self) -> u64 {
-        self.commits.load(Ordering::SeqCst)
-    }
-
     /// Whether the crash has fired yet.
     pub fn killed(&self) -> bool {
         self.killed.load(Ordering::SeqCst)
@@ -195,7 +189,7 @@ mod tests {
         assert!(!plan.killed());
         assert_eq!(plan.on_commit(2, b"c"), CommitOutcome::Kill);
         assert!(plan.killed());
-        assert_eq!(plan.commits_seen(), 3);
+        assert_eq!(plan.commits.load(Ordering::SeqCst), 3);
     }
 
     #[test]

@@ -118,17 +118,6 @@ impl FaultCounts {
     pub fn transport_failures(&self) -> u64 {
         self.resets_read + self.resets_write + self.truncations
     }
-
-    /// All error-class faults (transport failures plus corruptions).
-    pub fn error_class_total(&self) -> u64 {
-        self.transport_failures() + self.corruptions
-    }
-
-    /// Faults a healthy stack survives without any failure (dribbles and
-    /// in-budget delays).
-    pub fn survivable_total(&self) -> u64 {
-        self.dribbles + self.delays
-    }
 }
 
 impl FaultTally {

@@ -14,13 +14,13 @@ use serde::Value;
 use std::path::PathBuf;
 
 /// Relative tolerance for comparing numbers inside fixtures.
-pub const REL_TOLERANCE: f64 = 1e-9;
+const REL_TOLERANCE: f64 = 1e-9;
 
 /// Absolute floor below which numeric differences are ignored.
-pub const ABS_TOLERANCE: f64 = 1e-12;
+const ABS_TOLERANCE: f64 = 1e-12;
 
 /// Directory holding the checked-in fixtures.
-pub fn fixtures_dir() -> PathBuf {
+fn fixtures_dir() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures"))
 }
 
@@ -68,7 +68,7 @@ pub fn check_golden(name: &str, actual_json: &str) {
 
 /// Structural comparison with numeric tolerance. Returns the first
 /// difference as a human-readable `path: explanation`.
-pub fn approx_eq(expected: &Value, actual: &Value, path: &str) -> Result<(), String> {
+fn approx_eq(expected: &Value, actual: &Value, path: &str) -> Result<(), String> {
     match (expected, actual) {
         (Value::Null, Value::Null) => Ok(()),
         (Value::Bool(a), Value::Bool(b)) if a == b => Ok(()),

@@ -169,13 +169,13 @@ impl LoadConfig {
 
     /// The feature vector session `id` registers with (matches the
     /// single-column schema of [`crate::scenarios::tiny_engine`]).
-    pub fn features_of(id: u64) -> Vec<u32> {
+    fn features_of(id: u64) -> Vec<u32> {
         vec![(id % 2) as u32]
     }
 
     /// The deterministic observation sequence session `id` reports
     /// (epoch 1 onward; epoch 0 carries features instead).
-    pub fn observations_of(&self, id: u64) -> Vec<f64> {
+    fn observations_of(&self, id: u64) -> Vec<f64> {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let base = if id.is_multiple_of(2) { 1.0 } else { 5.0 };
         (1..self.epochs_per_session)

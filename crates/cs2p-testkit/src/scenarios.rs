@@ -16,7 +16,7 @@ use rand_chacha::ChaCha8Rng;
 
 /// A compact world for property tests and smoke runs: a couple of ISPs
 /// and servers, small prefix table, deterministic in `seed`.
-pub fn small_world(seed: u64) -> WorldConfig {
+fn small_world(seed: u64) -> WorldConfig {
     WorldConfig {
         n_isps: 2,
         n_provinces: 2,
@@ -31,7 +31,7 @@ pub fn small_world(seed: u64) -> WorldConfig {
 }
 
 /// The synthesis config used by compact scenarios: `n_sessions` sessions
-/// over two days in [`small_world`]`(seed)`.
+/// over two days in `small_world(seed)`.
 pub fn small_synth(n_sessions: usize, seed: u64) -> SynthConfig {
     SynthConfig {
         n_sessions,

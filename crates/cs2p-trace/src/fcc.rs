@@ -99,7 +99,7 @@ impl Default for FccConfig {
 }
 
 /// The FCC-like feature schema: Technology, DownTier, UpTier, ISP, State.
-pub fn fcc_schema() -> FeatureSchema {
+fn fcc_schema() -> FeatureSchema {
     FeatureSchema::new(vec!["Technology", "DownTier", "UpTier", "ISP", "State"])
 }
 

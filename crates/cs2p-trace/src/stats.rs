@@ -24,7 +24,7 @@ pub struct DatasetStats {
 
 /// Sessions shorter than this are excluded from the CoV distribution
 /// (a 2-epoch CoV is meaningless).
-pub const MIN_EPOCHS_FOR_COV: usize = 10;
+const MIN_EPOCHS_FOR_COV: usize = 10;
 
 impl DatasetStats {
     /// Computes all statistics in one pass. Returns `None` for an empty

@@ -168,11 +168,6 @@ impl World {
         self.prefixes.len()
     }
 
-    /// Total number of cities.
-    pub fn n_cities(&self) -> usize {
-        self.config.n_provinces * self.config.cities_per_province
-    }
-
     /// A prefix's static attachment.
     pub fn prefix_info(&self, prefix: u32) -> PrefixInfo {
         self.prefixes[prefix as usize]
