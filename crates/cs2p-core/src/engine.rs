@@ -17,7 +17,9 @@ use crate::features::{FeatureSchema, FeatureSet, FeatureVector};
 use crate::predictor::Cs2pPredictor;
 use cs2p_ml::hmm::{train_seeded, Hmm, TrainConfig};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Configuration of offline training.
 #[derive(Debug, Clone)]
@@ -127,8 +129,9 @@ pub struct PredictionEngine {
     models: Vec<ClusterModel>,
     /// Per training combo: features and the chosen model (`None` = global).
     combos: Vec<(FeatureVector, Option<usize>)>,
-    /// `(subset, projected key) -> combo index`, for most-similar lookup.
-    combo_index: HashMap<(FeatureSet, Vec<u32>), usize>,
+    /// `(subset, projected values) -> combo index`, for most-similar
+    /// lookup, keyed by a 64-bit fingerprint (see [`ComboIndex`]).
+    combo_index: ComboIndex,
     /// All non-empty feature subsets, most specific first.
     subset_order: Vec<FeatureSet>,
     global: ClusterModel,
@@ -231,10 +234,10 @@ impl PredictionEngine {
             }
             let key = features.project(search.spec.set);
             match index.entry((search.spec, key.clone())) {
-                std::collections::hash_map::Entry::Occupied(e) => {
+                Entry::Occupied(e) => {
                     combo_jobs.push(Some(*e.get()));
                 }
-                std::collections::hash_map::Entry::Vacant(e) => {
+                Entry::Vacant(e) => {
                     let members = finder.aggregate(search.spec, features, reference_time);
                     e.insert(cluster_jobs.len());
                     combo_jobs.push(Some(cluster_jobs.len()));
@@ -347,43 +350,15 @@ impl PredictionEngine {
         global: ClusterModel,
         combos: Vec<(FeatureVector, Option<usize>)>,
     ) -> Self {
-        let mut seen: std::collections::HashSet<&[u32]> = HashSet::with_capacity(combos.len());
-        for (features, _) in &combos {
-            assert!(
-                seen.insert(features.0.as_slice()),
-                "duplicate training combo {features:?}: combos must be unique per full feature \
-                 vector (one would silently shadow the other in lookup)"
-            );
-        }
-        let subset_order = {
-            let mut subsets = schema.all_nonempty_subsets();
-            subsets.sort_by_key(|s| std::cmp::Reverse(s.len()));
-            subsets
-        };
-        // Index every combo under every feature subset so lookup can find
-        // the training combo matching the most features. On projection
-        // collisions, prefer the combo whose model rests on more sessions.
-        let reliability = |mi: &Option<usize>| match mi {
-            Some(i) => models[*i].n_sessions,
+        let mut subset_order = schema.all_nonempty_subsets();
+        subset_order.sort_unstable_by_key(|s| (std::cmp::Reverse(s.len()), s.0));
+        // On projection collisions, prefer the combo whose model rests on
+        // more sessions.
+        let reliability = |mi: Option<usize>| match mi {
+            Some(i) => models[i].n_sessions,
             None => global.n_sessions,
         };
-        let mut combo_index: HashMap<(FeatureSet, Vec<u32>), usize> = HashMap::new();
-        for (ci, (features, mi)) in combos.iter().enumerate() {
-            for &set in &subset_order {
-                let key = (set, features.project(set));
-                match combo_index.entry(key) {
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(ci);
-                    }
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        let cur = &combos[*e.get()].1;
-                        if reliability(mi) > reliability(cur) {
-                            e.insert(ci);
-                        }
-                    }
-                }
-            }
-        }
+        let combo_index = ComboIndex::build(&combos, &subset_order, schema.full_set(), reliability);
         PredictionEngine {
             schema,
             models,
@@ -470,8 +445,7 @@ impl PredictionEngine {
             "feature width does not match engine schema"
         );
         for &set in &self.subset_order {
-            let key = (set, features.project(set));
-            if let Some(&ci) = self.combo_index.get(&key) {
+            if let Some(ci) = self.combo_index.get(&self.combos, set, features) {
                 return match self.combos[ci].1 {
                     Some(mi) => {
                         cs2p_obs::counter_add("predict.lookup.cluster", 1);
@@ -513,6 +487,122 @@ impl PredictionEngine {
     /// Convenience: a predictor running on the global HMM (GHM baseline).
     pub fn global_predictor(&self) -> Cs2pPredictor<'_> {
         Cs2pPredictor::new(&self.global)
+    }
+}
+
+/// The most-similar-lookup index: every training combo filed under every
+/// feature subset, so a probe for `(subset, the query's projection onto
+/// it)` finds the training combo agreeing with the query on that subset.
+///
+/// A key is not stored. Each entry is a 64-bit fingerprint of `(subset,
+/// projected values)` pointing at a combo, and a probe confirms a hit
+/// against that combo's own features, so building and probing hash a few
+/// words and allocate nothing per key. [`build`](Self::build) picks the
+/// first fingerprint seed under which no two distinct keys share a
+/// fingerprint; a hit that fails the confirmation is therefore a key
+/// that was never filed, never a shadowed one.
+#[derive(Debug, Clone, PartialEq)]
+struct ComboIndex {
+    seed: u64,
+    slots: HashMap<u64, usize, BuildHasherDefault<Fingerprinted>>,
+}
+
+impl ComboIndex {
+    /// Files every combo under every subset in `subsets`. A key two
+    /// combos share goes to the one whose model rests on strictly more
+    /// sessions (`reliability`), the earlier one on a tie.
+    ///
+    /// # Panics
+    ///
+    /// When two combos agree on every column of `full`: one would
+    /// silently shadow the other in lookup.
+    fn build(
+        combos: &[(FeatureVector, Option<usize>)],
+        subsets: &[FeatureSet],
+        full: FeatureSet,
+        reliability: impl Fn(Option<usize>) -> usize,
+    ) -> Self {
+        // Distinct keys are at most one per (combo, subset): sized once,
+        // the table never regrows.
+        let mut slots = HashMap::with_capacity_and_hasher(
+            combos.len() * subsets.len(),
+            BuildHasherDefault::default(),
+        );
+        'seeds: for seed in 0.. {
+            slots.clear();
+            for (ci, (features, mi)) in combos.iter().enumerate() {
+                for &set in subsets {
+                    match slots.entry(fingerprint(seed, set, features)) {
+                        Entry::Vacant(e) => {
+                            e.insert(ci);
+                        }
+                        Entry::Occupied(mut e) => {
+                            let (filed, filed_model) = &combos[*e.get()];
+                            if !filed.matches(features, set) {
+                                continue 'seeds; // two keys, one fingerprint
+                            }
+                            assert!(
+                                set != full,
+                                "duplicate training combo {features:?}: combos must be unique \
+                                 per full feature vector (one would silently shadow the other \
+                                 in lookup)"
+                            );
+                            if reliability(*mi) > reliability(*filed_model) {
+                                e.insert(ci);
+                            }
+                        }
+                    }
+                }
+            }
+            return ComboIndex { seed, slots };
+        }
+        unreachable!("some seed separates every key")
+    }
+
+    /// The combo filed under `(set, features projected onto set)`.
+    fn get(
+        &self,
+        combos: &[(FeatureVector, Option<usize>)],
+        set: FeatureSet,
+        features: &FeatureVector,
+    ) -> Option<usize> {
+        let &ci = self.slots.get(&fingerprint(self.seed, set, features))?;
+        combos[ci].0.matches(features, set).then_some(ci)
+    }
+}
+
+/// A 64-bit fingerprint of `(set, features projected onto set)`: the
+/// seed and the set, then each projected value, folded in by a
+/// 64×64→128-bit multiply whose halves are xored together.
+fn fingerprint(seed: u64, set: FeatureSet, features: &FeatureVector) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let fold = |x: u64| {
+        let m = u128::from(x) * u128::from(K);
+        (m as u64) ^ ((m >> 64) as u64)
+    };
+    set.iter().fold(fold(seed ^ u64::from(set.0)), |h, i| {
+        fold(h ^ u64::from(features.get(i)))
+    })
+}
+
+/// The [`ComboIndex`] table's hasher: its keys are already fingerprints,
+/// so a key hashes to itself.
+#[derive(Default)]
+struct Fingerprinted(u64);
+
+impl Hasher for Fingerprinted {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
     }
 }
 

@@ -75,11 +75,12 @@ impl FeatureSchema {
     }
 
     /// All `2^n - 1` non-empty feature subsets, ordered by increasing
-    /// popcount so more-specific sets come later.
+    /// popcount so more-specific sets come later (by mask within a
+    /// popcount).
     pub fn all_nonempty_subsets(&self) -> Vec<FeatureSet> {
         let n = self.len();
         let mut sets: Vec<FeatureSet> = (1u32..(1u32 << n)).map(FeatureSet).collect();
-        sets.sort_by_key(|s| s.len());
+        sets.sort_unstable_by_key(|s| (s.len(), s.0));
         sets
     }
 }
@@ -165,7 +166,14 @@ impl FeatureSet {
 
     /// Iterates selected column indices in ascending order.
     pub fn iter(self) -> impl Iterator<Item = usize> {
-        (0..MAX_FEATURES).filter(move |&i| self.contains(i))
+        let mut rest = self.0;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let i = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                i
+            })
+        })
     }
 
     /// Renders the set against a schema, e.g. `{ISP, City}`.

@@ -2,7 +2,7 @@
 
 use cs2p_core::cluster::{ClusterConfig, ClusterFinder, ClusterSpec};
 use cs2p_core::features::{FeatureSchema, FeatureSet, FeatureVector};
-use cs2p_core::{Dataset, Session, TimeWindow};
+use cs2p_core::{ClusterModel, Dataset, PredictionEngine, Provenance, Session, TimeWindow};
 use proptest::prelude::*;
 
 /// Strategy: a small dataset of sessions over a 2-feature schema.
@@ -121,6 +121,150 @@ proptest! {
             prop_assert!(s.p75_of_median <= s.p90_of_median + 1e-12);
             prop_assert!(s.median_of_median <= s.median_of_p90 + 1e-12);
             prop_assert!(s.n_sessions <= sessions.len());
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Most-similar lookup against the index it replaced
+// ---------------------------------------------------------------------------
+
+/// The engine's first lookup index, kept here as the oracle: every combo
+/// filed under every non-empty subset with its projected values as a
+/// heap-allocated key, a shared key going to the combo whose model rests
+/// on strictly more sessions.
+struct VecKeyedIndex<'a> {
+    combos: &'a [(FeatureVector, Option<usize>)],
+    index: std::collections::HashMap<(FeatureSet, Vec<u32>), usize>,
+    subset_order: Vec<FeatureSet>,
+}
+
+impl<'a> VecKeyedIndex<'a> {
+    fn new(
+        width: usize,
+        combos: &'a [(FeatureVector, Option<usize>)],
+        model_sessions: &[usize],
+        global_sessions: usize,
+    ) -> Self {
+        let schema = FeatureSchema::new((0..width).map(|i| format!("f{i}")).collect());
+        let mut subset_order = schema.all_nonempty_subsets();
+        subset_order.sort_by_key(|s| std::cmp::Reverse(s.len()));
+        let reliability = |mi: Option<usize>| mi.map_or(global_sessions, |i| model_sessions[i]);
+        let mut index = std::collections::HashMap::new();
+        for (ci, (features, mi)) in combos.iter().enumerate() {
+            for &set in &subset_order {
+                let slot = index.entry((set, features.project(set))).or_insert(ci);
+                if reliability(*mi) > reliability(combos[*slot].1) {
+                    *slot = ci;
+                }
+            }
+        }
+        VecKeyedIndex {
+            combos,
+            index,
+            subset_order,
+        }
+    }
+
+    /// `(model_index, provenance)` for `features`.
+    fn lookup(&self, features: &FeatureVector) -> (Option<usize>, Provenance) {
+        self.subset_order
+            .iter()
+            .find_map(|&set| self.index.get(&(set, features.project(set))))
+            .and_then(|&ci| self.combos[ci].1)
+            .map_or((None, Provenance::Global), |mi| {
+                (Some(mi), Provenance::Cluster)
+            })
+    }
+}
+
+/// A cluster model resting on `n_sessions` sessions (the HMM is a
+/// placeholder: lookup never reads it).
+fn placeholder_model(n_sessions: usize) -> ClusterModel {
+    use cs2p_ml::gaussian::Gaussian;
+    use cs2p_ml::hmm::{Emission, Hmm};
+    use cs2p_ml::matrix::Matrix;
+    ClusterModel {
+        spec: ClusterSpec::GLOBAL,
+        key: vec![],
+        initial_median: 1.0,
+        hmm: Hmm::new(
+            vec![1.0],
+            Matrix::from_rows(&[vec![1.0]]),
+            vec![Emission::Gaussian(Gaussian::new(1.0, 0.5))],
+        ),
+        n_sessions,
+    }
+}
+
+/// `(width, combos (possibly repeating a vector), per-model sessions,
+/// global sessions, queries)`. Values come from a three-letter alphabet,
+/// so combos share projections on most subsets; session counts come from
+/// three values, so shared keys often tie; queries draw a fourth letter
+/// no combo has, so some match only partly or not at all. One width in
+/// nine is the wider schema of 11 features.
+#[allow(clippy::type_complexity)]
+fn arb_lookup_case(
+) -> impl Strategy<Value = (usize, Vec<(Vec<u32>, u8)>, Vec<usize>, usize, Vec<Vec<u32>>)> {
+    (0usize..9)
+        .prop_map(|w| if w == 0 { 11 } else { w })
+        .prop_flat_map(|width| {
+            (
+                Just(width),
+                prop::collection::vec((prop::collection::vec(0u32..3, width), 0u8..6), 1..24),
+                prop::collection::vec((1usize..4).prop_map(|k| 10 * k), 4),
+                (1usize..4).prop_map(|k| 10 * k),
+                prop::collection::vec(prop::collection::vec(0u32..4, width), 1..16),
+            )
+        })
+}
+
+proptest! {
+    /// The fingerprint index answers every query exactly as the
+    /// `Vec`-keyed index did: same model index, same provenance, on
+    /// trained combos, partial matches and total misses. A repeated full
+    /// feature vector is still rejected.
+    #[test]
+    fn fingerprint_lookup_matches_the_vec_keyed_index(case in arb_lookup_case()) {
+        let (width, raw, model_sessions, global_sessions, queries) = case;
+        // Choices 4 and 5 send the combo to the global model.
+        let combos: Vec<(FeatureVector, Option<usize>)> = raw
+            .into_iter()
+            .map(|(values, choice)| (FeatureVector(values), (choice < 4).then_some(choice as usize)))
+            .collect();
+        let build = |combos: Vec<(FeatureVector, Option<usize>)>| {
+            PredictionEngine::from_parts(
+                FeatureSchema::new((0..width).map(|i| format!("f{i}")).collect()),
+                model_sessions.iter().map(|&n| placeholder_model(n)).collect(),
+                placeholder_model(global_sessions),
+                combos,
+            )
+        };
+
+        let mut unique = combos.clone();
+        let mut seen = std::collections::HashSet::new();
+        unique.retain(|(features, _)| seen.insert(features.clone()));
+        if unique.len() < combos.len() {
+            let rejected = std::panic::catch_unwind(|| build(combos.clone()));
+            prop_assert!(rejected.is_err(), "a repeated combo was accepted");
+        }
+
+        let oracle = VecKeyedIndex::new(width, &unique, &model_sessions, global_sessions);
+        let engine = build(unique.clone());
+        let unmatched = FeatureVector(vec![u32::MAX; width]);
+        let probes = unique
+            .iter()
+            .map(|(features, _)| features.clone())
+            .chain(queries.into_iter().map(FeatureVector))
+            .chain([unmatched]);
+        for query in probes {
+            let got = engine.lookup_detailed(&query);
+            prop_assert_eq!(
+                (got.model_index, got.provenance),
+                oracle.lookup(&query),
+                "query {:?}",
+                query
+            );
         }
     }
 }

@@ -2,7 +2,8 @@
 //! each capture runs twice and `validate-metrics` applies the schema,
 //! the stage-coverage gate and the two-run determinism diff; then the
 //! raw capture is searched for the records the normalizer strips
-//! (`serve.*`, `client.*`, `trace_id`). A bench subcommand that stops
+//! (`serve.*`, `client.*`, `trace_id`) and for the fields some of them
+//! must carry. A bench subcommand that stops
 //! producing a record family, or two same-seed runs that drift apart,
 //! fail here. The benches' own in-code certificates (the ladder beating
 //! pure-503 shedding, Fallback equal to the harmonic mean, the chaos
@@ -120,6 +121,17 @@ fn serve_and_persist_captures_pass_the_ci_gates() {
             "serve.persist.recovered",
         ],
     );
+    // The recovery event splits the cold start into its phases.
+    let recovered = persist
+        .lines()
+        .find(|l| l.contains("\"name\":\"serve.persist.recovered\""))
+        .expect("checked above");
+    for phase in ["models_us", "replay_us", "restore_us", "compact_us"] {
+        assert!(
+            recovered.contains(&format!("\"{phase}\":")),
+            "serve.persist.recovered has no {phase}: {recovered}"
+        );
+    }
 }
 
 #[test]

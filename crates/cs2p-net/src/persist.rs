@@ -40,8 +40,11 @@
 //!   every uncovered WAL generation in order, through one replay step,
 //!   and stops at the first torn or corrupt WAL record — the longest
 //!   valid prefix wins, a snapshot with any bad frame is absent as a
-//!   whole, and recovery never panics on arbitrary bytes.
-//!   `ServerHandle::open_or_recover` turns the
+//!   whole, and recovery never panics on arbitrary bytes. Replay is one
+//!   pass over each file's bytes: frames are borrowed in place, an
+//!   `Update`'s posterior is copied straight into the session's own
+//!   buffer, and the sessions sit in a `Vec` found through an id map,
+//!   sorted by id once at the end. `ServerHandle::open_or_recover` turns the
 //!   result back into a live server whose sessions, filter posteriors,
 //!   pinned model versions, and store tick state are bit-identical to
 //!   the committed prefix of the crashed run.
@@ -52,19 +55,24 @@
 //! lookup ages TTL clocks but writes no record). See DESIGN.md §3f.
 //!
 //! Telemetry: `serve.persist.{wal_records,wal_bytes,snapshots,
-//! compactions,recoveries,truncated_records,recovery_us}`.
+//! compactions,recoveries,truncated_records,recovery_us}`; [`recover`]
+//! times its two phases (`models_us`, `replay_us`) for the
+//! `serve.persist.recovered` event.
 
 use cs2p_core::registry::RegistryPersistence;
 use cs2p_core::{ModelBundle, ModelVersion, PredictionEngine};
 use cs2p_ml::hmm::FilterState;
 use cs2p_obs::Clock;
 use parking_lot::Mutex;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::io::{self, IoSlice, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Upper bound on one framed record's payload. A corrupt length prefix
 /// must not make recovery allocate gigabytes; anything larger is treated
@@ -166,48 +174,86 @@ pub struct WalReplay {
     pub valid_bytes: u64,
 }
 
+/// The payloads of the `[len][crc32][payload]` frames in `bytes`, borrowed
+/// in place, up to the first torn or corrupt frame. Never panics on
+/// arbitrary input.
+struct Frames<'a> {
+    cursor: Cursor<'a>,
+    /// Bytes consumed by the valid prefix so far.
+    valid: usize,
+    /// Cleared at a torn or corrupt frame, which ends the iteration.
+    clean: bool,
+}
+
+impl<'a> Frames<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Frames {
+            cursor: Cursor { bytes, pos: 0 },
+            valid: 0,
+            clean: true,
+        }
+    }
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        if !self.clean || self.valid == self.cursor.bytes.len() {
+            return None;
+        }
+        let payload = self.cursor.frame();
+        match payload {
+            Some(_) => self.valid = self.cursor.pos,
+            None => self.clean = false,
+        }
+        payload
+    }
+}
+
 /// Decodes length-prefixed CRC-framed records from `bytes`, stopping at
 /// the first torn or corrupt frame. Never panics on arbitrary input.
 pub fn decode_frames(bytes: &[u8]) -> WalReplay {
-    let mut out = WalReplay {
-        records: Vec::new(),
-        clean: true,
-        valid_bytes: 0,
-    };
-    let mut cursor = Cursor { bytes, pos: 0 };
-    while cursor.pos < bytes.len() {
-        let Some(payload) = cursor.frame() else {
-            out.clean = false;
-            return out;
-        };
-        out.records.push(payload.to_vec());
-        out.valid_bytes = cursor.pos as u64;
+    let mut frames = Frames::new(bytes);
+    let records = frames.by_ref().map(<[u8]>::to_vec).collect();
+    WalReplay {
+        records,
+        clean: frames.clean,
+        valid_bytes: frames.valid as u64,
     }
-    out
+}
+
+/// The bytes of `path`; a missing file reads as empty.
+fn read_or_empty(path: &Path) -> io::Result<Vec<u8>> {
+    match fs::read(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+        read => read,
+    }
 }
 
 /// Reads and decodes one WAL segment file. A missing file is an empty,
 /// clean log (the segment was never created or already compacted away).
 pub fn read_wal(path: &Path) -> io::Result<WalReplay> {
-    match fs::read(path) {
-        Ok(bytes) => Ok(decode_frames(&bytes)),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(WalReplay {
-            records: Vec::new(),
-            clean: true,
-            valid_bytes: 0,
-        }),
-        Err(e) => Err(e),
-    }
+    Ok(decode_frames(&read_or_empty(path)?))
 }
 
-/// Writes `bytes` to `path` crash-safely: `<path>.tmp` + fsync + rename.
-/// Readers (and post-crash recovery) see either the old complete file or
-/// the new complete file, never a torn one.
-fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// Writes `parts`, in order, to `path` crash-safely: `<path>.tmp` +
+/// fsync + rename. Readers (and post-crash recovery) see either the old
+/// complete file or the new complete file, never a torn one.
+fn atomic_write(path: &Path, mut parts: &mut [IoSlice<'_>]) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
         let mut file = File::create(&tmp)?;
-        file.write_all(bytes)?;
+        // One call takes at most `IOV_MAX` parts and may stop short.
+        IoSlice::advance_slices(&mut parts, 0);
+        while !parts.is_empty() {
+            match file.write_vectored(parts) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut parts, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
         file.sync_data()?;
     }
     fs::rename(&tmp, path)
@@ -644,31 +690,19 @@ impl<'a> Cursor<'a> {
         (crc32(payload) == crc).then_some(payload)
     }
 
-    /// A `u32` count, then that many `N`-byte little-endian items.
-    fn vec_of<T, const N: usize>(&mut self, item: fn([u8; N]) -> T) -> Option<Vec<T>> {
+    /// A `u32` count, then that many `N`-byte items, borrowed raw.
+    fn array<const N: usize>(&mut self) -> Option<&'a [u8]> {
         let len = self.u32()? as usize;
-        // The length is attacker-controlled on a corrupt payload; `take`
-        // bounds the allocation by what is actually present.
-        let raw = self.take(len.checked_mul(N)?)?;
-        let mut out = Vec::with_capacity(len);
-        for chunk in raw.chunks_exact(N) {
-            out.push(item(chunk.try_into().ok()?));
-        }
-        Some(out)
+        // The count is attacker-controlled on a corrupt payload; `take`
+        // bounds it by what is actually present.
+        self.take(len.checked_mul(N)?)
     }
 
-    fn f64_vec(&mut self) -> Option<Vec<f64>> {
-        self.vec_of(f64::from_le_bytes)
-    }
-
-    fn u32_vec(&mut self) -> Option<Vec<u32>> {
-        self.vec_of(u32::from_le_bytes)
-    }
-
-    fn filter(&mut self) -> Option<FilterState> {
-        let posterior = self.f64_vec()?;
+    /// A filter posterior (raw little-endian `f64`s) and its epoch.
+    fn filter(&mut self) -> Option<(&'a [u8], usize)> {
+        let posterior = self.array::<8>()?;
         let epoch = usize::try_from(self.u64()?).ok()?;
-        Some(FilterState { posterior, epoch })
+        Some((posterior, epoch))
     }
 
     fn pending(&mut self) -> Option<Option<PersistedPending>> {
@@ -689,19 +723,93 @@ impl<'a> Cursor<'a> {
             None
         };
         let cluster_hit = self.bool()?;
-        let filter = self.filter()?;
-        let features = self.u32_vec()?;
-        let observed = self.f64_vec()?;
+        let (posterior, epoch) = self.filter()?;
+        let features = self.array::<4>()?;
+        let observed = self.array::<8>()?;
         let pending = self.pending()?;
         Some(PersistedSession {
             version,
             model,
             cluster_hit,
-            filter,
-            features,
-            observed,
+            filter: FilterState {
+                posterior: le_f64s(posterior).collect(),
+                epoch,
+            },
+            features: features
+                .chunks_exact(4)
+                .map(|w| u32::from_le_bytes(word(w)))
+                .collect(),
+            observed: le_f64s(observed).collect(),
             pending,
         })
+    }
+}
+
+/// One `N`-byte word of a `chunks_exact(N)` chunk.
+fn word<const N: usize>(chunk: &[u8]) -> [u8; N] {
+    let mut out = [0; N];
+    out.copy_from_slice(chunk);
+    out
+}
+
+/// The `f64`s of a raw little-endian array.
+fn le_f64s(raw: &[u8]) -> impl ExactSizeIterator<Item = f64> + '_ {
+    raw.chunks_exact(8).map(|w| f64::from_le_bytes(word(w)))
+}
+
+/// A decoded payload that borrows from its frame what replay copies
+/// straight into place: an `Update`'s posterior stays raw bytes until it
+/// overwrites the session's own posterior buffer.
+enum RecordRef<'a> {
+    Register {
+        id: u64,
+        tick: u64,
+        session: PersistedSession,
+    },
+    Update {
+        id: u64,
+        tick: u64,
+        measured: Option<f64>,
+        observed_len: u64,
+        /// Little-endian `f64`s.
+        posterior: &'a [u8],
+        epoch: usize,
+        pending: Option<PersistedPending>,
+    },
+    Remove {
+        id: u64,
+    },
+}
+
+impl<'a> RecordRef<'a> {
+    /// Decodes a binary WAL payload. `None` on any malformation —
+    /// unknown tag, short read, or trailing bytes — never a panic.
+    fn decode(bytes: &'a [u8]) -> Option<Self> {
+        let mut c = Cursor { bytes, pos: 0 };
+        let record = match c.u8()? {
+            TAG_REGISTER => RecordRef::Register {
+                id: c.u64()?,
+                tick: c.u64()?,
+                session: c.session()?,
+            },
+            TAG_UPDATE => {
+                let (id, tick, measured, observed_len) =
+                    (c.u64()?, c.u64()?, c.opt_f64()?, c.u64()?);
+                let (posterior, epoch) = c.filter()?;
+                RecordRef::Update {
+                    id,
+                    tick,
+                    measured,
+                    observed_len,
+                    posterior,
+                    epoch,
+                    pending: c.pending()?,
+                }
+            }
+            TAG_REMOVE => RecordRef::Remove { id: c.u64()? },
+            _ => return None,
+        };
+        (c.pos == bytes.len()).then_some(record)
     }
 }
 
@@ -744,25 +852,29 @@ impl WalRecord {
     /// Decodes a binary WAL payload. `None` on any malformation —
     /// unknown tag, short read, or trailing bytes — never a panic.
     pub fn decode(bytes: &[u8]) -> Option<WalRecord> {
-        let mut c = Cursor { bytes, pos: 0 };
-        let record = match c.u8()? {
-            TAG_REGISTER => WalRecord::Register {
-                id: c.u64()?,
-                tick: c.u64()?,
-                session: c.session()?,
+        Some(match RecordRef::decode(bytes)? {
+            RecordRef::Register { id, tick, session } => WalRecord::Register { id, tick, session },
+            RecordRef::Update {
+                id,
+                tick,
+                measured,
+                observed_len,
+                posterior,
+                epoch,
+                pending,
+            } => WalRecord::Update {
+                id,
+                tick,
+                measured,
+                observed_len,
+                filter: FilterState {
+                    posterior: le_f64s(posterior).collect(),
+                    epoch,
+                },
+                pending,
             },
-            TAG_UPDATE => WalRecord::Update {
-                id: c.u64()?,
-                tick: c.u64()?,
-                measured: c.opt_f64()?,
-                observed_len: c.u64()?,
-                filter: c.filter()?,
-                pending: c.pending()?,
-            },
-            TAG_REMOVE => WalRecord::Remove { id: c.u64()? },
-            _ => return None,
-        };
-        (c.pos == bytes.len()).then_some(record)
+            RecordRef::Remove { id } => WalRecord::Remove { id },
+        })
     }
 }
 
@@ -783,44 +895,66 @@ impl Snapshot {
         self.index.push((id, start, self.frames.len()));
     }
 
-    /// The bytes of `store.snap`: a header frame (`covered_gen` — the
-    /// greatest WAL generation the image fully reflects — the logical
-    /// `tick`, and the entry count), then the frames in id order (ties in
-    /// push order), whatever the shard layout.
-    fn into_file(mut self, covered_gen: u64, tick: u64) -> Vec<u8> {
+    /// `store.snap` in file order, for one vectored write: a header frame
+    /// (`covered_gen` — the greatest WAL generation the image fully
+    /// reflects — the logical `tick`, and the entry count), framed into
+    /// `header`, then the pushed frames in id order (ties in push order),
+    /// whatever the shard layout. The frames are not copied again.
+    fn file_parts<'a>(
+        &'a mut self,
+        header: &'a mut Vec<u8>,
+        covered_gen: u64,
+        tick: u64,
+    ) -> Vec<IoSlice<'a>> {
         self.index.sort_unstable();
-        let mut out = Vec::with_capacity(FRAME_HEADER + 24 + self.frames.len());
-        frame_with(&mut out, |out| {
+        frame_with(header, |out| {
             put_u64(out, covered_gen);
             put_u64(out, tick);
             put_u64(out, self.index.len() as u64);
         });
-        for &(_, start, end) in &self.index {
-            out.extend_from_slice(&self.frames[start..end]);
-        }
-        out
+        let (header, this): (&'a Vec<u8>, &'a Self) = (header, self);
+        let mut parts = Vec::with_capacity(1 + this.index.len());
+        parts.push(IoSlice::new(header));
+        parts.extend(
+            this.index
+                .iter()
+                .map(|&(_, start, end)| IoSlice::new(&this.frames[start..end])),
+        );
+        parts
     }
 }
 
-/// Decodes `store.snap` into `(covered_gen, tick, records)`. All or
-/// nothing: `None` unless every frame is clean to the end of the file,
-/// every payload decodes to a `Register`, and the count is the header's.
-fn decode_snapshot(bytes: &[u8]) -> Option<(u64, u64, Vec<WalRecord>)> {
-    let frames = decode_frames(bytes);
-    let (header, entries) = frames.records.split_first()?;
+/// Decodes `store.snap` into the WAL generation it covers and the replay
+/// table it seeds. All or nothing: `None` unless every frame is clean to
+/// the end of the file, every payload decodes to a `Register`, and the
+/// count is the header's.
+fn decode_snapshot(bytes: &[u8], max_observed: usize) -> Option<(u64, Replay)> {
+    let mut frames = Frames::new(bytes);
+    let header = frames.next()?;
     let mut c = Cursor {
         bytes: header,
         pos: 0,
     };
     let (covered_gen, tick, count) = (c.u64()?, c.u64()?, c.u64()?);
-    if !frames.clean || c.pos != header.len() || entries.len() as u64 != count {
+    if c.pos != header.len() {
         return None;
     }
-    let records = entries
-        .iter()
-        .map(|p| WalRecord::decode(p).filter(|r| matches!(r, WalRecord::Register { .. })))
-        .collect::<Option<Vec<_>>>()?;
-    Some((covered_gen, tick, records))
+    // Each entry is at least a frame header and a tag, so a corrupt
+    // count cannot reserve more than the file could hold.
+    let capacity = usize::try_from(count)
+        .ok()?
+        .min(bytes.len() / (FRAME_HEADER + 1));
+    let mut replay = Replay::new(tick, capacity, max_observed);
+    let mut entries = 0u64;
+    for payload in &mut frames {
+        let record = RecordRef::decode(payload)?;
+        if !matches!(record, RecordRef::Register { .. }) {
+            return None;
+        }
+        replay.apply(record);
+        entries += 1;
+    }
+    (frames.clean && entries == count).then_some((covered_gen, replay))
 }
 
 /// Reads `store.snap`; a missing file is `None`, and so is a corrupt one
@@ -829,8 +963,8 @@ fn decode_snapshot(bytes: &[u8]) -> Option<(u64, u64, Vec<WalRecord>)> {
 /// covered were unlinked when it was written, so the sessions only it
 /// held fall to the re-register path; recovery replays just the
 /// generations it did not cover.
-fn read_snapshot(path: &Path) -> Option<(u64, u64, Vec<WalRecord>)> {
-    let snapshot = decode_snapshot(&fs::read(path).ok()?);
+fn read_snapshot(path: &Path, max_observed: usize) -> Option<(u64, Replay)> {
+    let snapshot = decode_snapshot(&fs::read(path).ok()?, max_observed);
     if snapshot.is_none() {
         cs2p_obs::event(
             cs2p_obs::Level::Warn,
@@ -839,6 +973,105 @@ fn read_snapshot(path: &Path) -> Option<(u64, u64, Vec<WalRecord>)> {
         );
     }
     snapshot
+}
+
+/// Recovery's working table: the sessions replayed so far, found by id,
+/// and the logical tick. Snapshot entries (as `Register` records stamped
+/// with their `last_touch`) and every uncovered WAL record pass through
+/// the one replay step, [`apply`](Self::apply).
+struct Replay {
+    /// Only rises, to stay above every replayed stamp.
+    tick: u64,
+    /// `(id, last_touch, state)`, unordered.
+    sessions: Vec<(u64, u64, PersistedSession)>,
+    /// Session id -> position in `sessions`.
+    index: HashMap<u64, usize, BuildHasherDefault<IdHasher>>,
+    /// Cap on a session's measurement history.
+    max_observed: usize,
+}
+
+/// Hashes a session id with one multiply. Replayed ids passed a CRC and
+/// come from the server's own store, so SipHash's flooding resistance
+/// buys nothing here; the odd multiplier keeps dense ids distinct in the
+/// low bits and spreads them over the high ones.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+impl Replay {
+    fn new(tick: u64, capacity: usize, max_observed: usize) -> Self {
+        Replay {
+            tick,
+            sessions: Vec::with_capacity(capacity),
+            index: HashMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default()),
+            max_observed,
+        }
+    }
+
+    fn apply(&mut self, record: RecordRef<'_>) {
+        match record {
+            RecordRef::Register { id, tick, session } => {
+                self.tick = self.tick.max(tick + 1);
+                match self.index.entry(id) {
+                    Entry::Occupied(e) => self.sessions[*e.get()] = (id, tick, session),
+                    Entry::Vacant(e) => {
+                        e.insert(self.sessions.len());
+                        self.sessions.push((id, tick, session));
+                    }
+                }
+            }
+            RecordRef::Update {
+                id,
+                tick,
+                measured,
+                observed_len,
+                posterior,
+                epoch,
+                pending,
+            } => {
+                self.tick = self.tick.max(tick + 1);
+                let Some(&i) = self.index.get(&id) else {
+                    return;
+                };
+                let (_, last_touch, state) = &mut self.sessions[i];
+                *last_touch = tick;
+                if let Some(w) = measured {
+                    if (state.observed.len() as u64) < observed_len
+                        && state.observed.len() < self.max_observed
+                    {
+                        state.observed.push(w);
+                    }
+                }
+                state.filter.posterior.clear();
+                state.filter.posterior.extend(le_f64s(posterior));
+                state.filter.epoch = epoch;
+                state.pending = pending;
+            }
+            RecordRef::Remove { id } => {
+                if let Some(i) = self.index.remove(&id) {
+                    self.sessions.swap_remove(i);
+                    if let Some(&(moved, _, _)) = self.sessions.get(i) {
+                        self.index.insert(moved, i);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Durability knobs for [`crate::ServerHandle::open_or_recover`].
@@ -993,7 +1226,7 @@ impl RegistryPersistence for RegistryDir {
             .and_then(|()| {
                 atomic_write(
                     &self.dir.join(CURRENT_FILE),
-                    version.0.to_string().as_bytes(),
+                    &mut [IoSlice::new(version.0.to_string().as_bytes())],
                 )
             });
         if let Err(e) = write {
@@ -1140,8 +1373,9 @@ impl SessionPersist {
         self.since_snapshot.store(0, Ordering::SeqCst);
         let mut snapshot = Snapshot::default();
         let tick = visit(&mut snapshot);
-        let bytes = snapshot.into_file(covered_gen, tick);
-        atomic_write(&self.dir.join(SNAPSHOT_FILE), &bytes)?;
+        let mut header = Vec::new();
+        let mut parts = snapshot.file_parts(&mut header, covered_gen, tick);
+        atomic_write(&self.dir.join(SNAPSHOT_FILE), &mut parts)?;
         for gen in list_segments(&self.dir)? {
             if gen <= covered_gen {
                 let _ = fs::remove_file(segment_path(&self.dir, gen));
@@ -1188,6 +1422,10 @@ pub struct RecoveredState {
     pub clean: bool,
     /// WAL records replayed (after snapshot-coverage skipping).
     pub wal_records: u64,
+    /// Microseconds spent loading the model bundles.
+    pub models_us: u64,
+    /// Microseconds spent replaying the snapshot and the WAL.
+    pub replay_us: u64,
 }
 
 /// Replays snapshot + WAL from `dir` into the state the committed prefix
@@ -1197,59 +1435,23 @@ pub struct RecoveredState {
 /// `max_observed` caps per-session measurement history (the server's
 /// recorded-epochs bound).
 pub fn recover(dir: &Path, max_observed: usize) -> io::Result<RecoveredState> {
+    let start = Instant::now();
     let (engines, current_version) = RegistryDir::load(&dir.join(MODELS_DIR))?;
-    let (covered_gen, mut tick, snapshot) =
-        read_snapshot(&dir.join(SNAPSHOT_FILE)).unwrap_or_default();
-    let mut sessions = std::collections::BTreeMap::<u64, (u64, PersistedSession)>::new();
-    // The one replay step. Snapshot entries pass through it as `Register`
-    // records stamped with their `last_touch`, then every uncovered WAL
-    // record in order; the tick only rises, to stay above every stamp.
-    let mut apply = |record: WalRecord| match record {
-        WalRecord::Register {
-            id,
-            tick: t,
-            session,
-        } => {
-            tick = tick.max(t + 1);
-            sessions.insert(id, (t, session));
-        }
-        WalRecord::Update {
-            id,
-            tick: t,
-            measured,
-            observed_len,
-            filter,
-            pending,
-        } => {
-            tick = tick.max(t + 1);
-            if let Some((last_touch, state)) = sessions.get_mut(&id) {
-                *last_touch = t;
-                if let Some(w) = measured {
-                    if (state.observed.len() as u64) < observed_len
-                        && state.observed.len() < max_observed
-                    {
-                        state.observed.push(w);
-                    }
-                }
-                state.filter = filter;
-                state.pending = pending;
-            }
-        }
-        WalRecord::Remove { id } => {
-            sessions.remove(&id);
-        }
-    };
-    snapshot.into_iter().for_each(&mut apply);
+    let models_us = micros(start.elapsed());
 
+    let start = Instant::now();
+    let (covered_gen, mut replay) = read_snapshot(&dir.join(SNAPSHOT_FILE), max_observed)
+        .unwrap_or_else(|| (0, Replay::new(0, 0, max_observed)));
     let mut clean = true;
     let mut wal_records = 0u64;
     'segments: for gen in list_segments(dir)? {
         if gen <= covered_gen {
             continue;
         }
-        let replay = read_wal(&segment_path(dir, gen))?;
-        for payload in &replay.records {
-            let Some(record) = WalRecord::decode(payload) else {
+        let bytes = read_or_empty(&segment_path(dir, gen))?;
+        let mut frames = Frames::new(&bytes);
+        for payload in &mut frames {
+            let Some(record) = RecordRef::decode(payload) else {
                 // A frame with a valid CRC but an unparseable body is
                 // corruption past the framing layer: same contract,
                 // truncate here.
@@ -1257,13 +1459,16 @@ pub fn recover(dir: &Path, max_observed: usize) -> io::Result<RecoveredState> {
                 break 'segments;
             };
             wal_records += 1;
-            apply(record);
+            replay.apply(record);
         }
-        if !replay.clean {
+        if !frames.clean {
             clean = false;
             break;
         }
     }
+    // Ids are unique, so the unstable sort is deterministic.
+    replay.sessions.sort_unstable_by_key(|&(id, _, _)| id);
+    let replay_us = micros(start.elapsed());
 
     if cs2p_obs::enabled() {
         cs2p_obs::counter_add("serve.persist.recoveries", 1);
@@ -1272,16 +1477,20 @@ pub fn recover(dir: &Path, max_observed: usize) -> io::Result<RecoveredState> {
         }
     }
     Ok(RecoveredState {
-        tick,
-        sessions: sessions
-            .into_iter()
-            .map(|(id, (last_touch, state))| (id, last_touch, state))
-            .collect(),
+        tick: replay.tick,
+        sessions: replay.sessions,
         engines,
         current_version,
         clean,
         wal_records,
+        models_us,
+        replay_us,
     })
+}
+
+/// Whole microseconds, saturating.
+pub(crate) fn micros(elapsed: Duration) -> u64 {
+    u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -1381,7 +1590,14 @@ mod tests {
         for (id, last_touch, session) in entries {
             frames.push(*id, *last_touch, session);
         }
-        frames.into_file(covered_gen, tick)
+        file_bytes(&mut frames, covered_gen, tick)
+    }
+
+    /// The bytes `compact_visiting` writes for `snapshot`.
+    fn file_bytes(snapshot: &mut Snapshot, covered_gen: u64, tick: u64) -> Vec<u8> {
+        let mut header = Vec::new();
+        let parts = snapshot.file_parts(&mut header, covered_gen, tick);
+        parts.iter().flat_map(|part| part.iter().copied()).collect()
     }
 
     #[test]
@@ -1416,7 +1632,7 @@ mod tests {
             };
             frame_into(&mut expected, &record.encode());
         }
-        assert_eq!(frames.into_file(3, tick), expected);
+        assert_eq!(file_bytes(&mut frames, 3, tick), expected);
     }
 
     #[test]
@@ -1558,10 +1774,17 @@ mod tests {
     fn atomic_write_replaces_whole_files() {
         let dir = temp_dir("atomic");
         let path = dir.join("file.json");
-        atomic_write(&path, b"one").unwrap();
+        atomic_write(&path, &mut [IoSlice::new(b"one")]).unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"one");
-        atomic_write(&path, b"two").unwrap();
+        atomic_write(&path, &mut [IoSlice::new(b"two")]).unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"two");
+        // More parts than one vectored call takes, empty ones included.
+        let chunks: Vec<Vec<u8>> = (0..3000u32)
+            .map(|i| vec![i as u8; i as usize % 5])
+            .collect();
+        let mut parts: Vec<IoSlice> = chunks.iter().map(|c| IoSlice::new(c)).collect();
+        atomic_write(&path, &mut parts).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), chunks.concat());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1570,22 +1793,24 @@ mod tests {
         let dir = temp_dir("snap");
         let path = dir.join(SNAPSHOT_FILE);
         let mut entries = register_entries();
-        let bytes = snapshot_of(3, 17, &entries);
-        atomic_write(&path, &bytes).unwrap();
-        let (covered_gen, tick, back) = read_snapshot(&path).expect("read own snapshot");
-        assert_eq!((covered_gen, tick), (3, 17));
+        let bytes = snapshot_of(3, 41, &entries);
+        atomic_write(&path, &mut [IoSlice::new(&bytes)]).unwrap();
+        let (covered_gen, replay) = read_snapshot(&path, 1024).expect("read own snapshot");
+        // The header's tick: already above every stamp (the greatest is 19).
+        assert_eq!((covered_gen, replay.tick), (3, 41));
         // NaN-carrying state: compare encodings, as the codec test does.
         entries.sort_unstable_by_key(|&(id, _, _)| id);
-        let written = entries
-            .into_iter()
-            .map(|(id, tick, session)| WalRecord::Register { id, tick, session }.encode());
-        assert!(back.iter().map(WalRecord::encode).eq(written));
+        let encode = |(id, tick, session): (u64, u64, PersistedSession)| {
+            WalRecord::Register { id, tick, session }.encode()
+        };
+        let last_frame = FRAME_HEADER + encode(entries[entries.len() - 1].clone()).len();
+        let written = entries.into_iter().map(encode);
+        assert!(replay.sessions.into_iter().map(encode).eq(written));
         // A torn file, and a clean one an entry short of its header's count.
         fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
-        assert!(read_snapshot(&path).is_none());
-        let last_frame = FRAME_HEADER + back[back.len() - 1].encode().len();
+        assert!(read_snapshot(&path, 1024).is_none());
         fs::write(&path, &bytes[..bytes.len() - last_frame]).unwrap();
-        assert!(read_snapshot(&path).is_none());
+        assert!(read_snapshot(&path, 1024).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -844,17 +844,16 @@ fn json_response<T: serde::Serialize>(value: &T) -> Response {
     }
 }
 
-/// Turns a recovered [`PersistedSession`] back into live session state,
-/// re-resolving its engine pin from the recovered registry. `None` — the
-/// session is dropped to the re-register path — when the pinned version's
-/// bundle is gone or the persisted state is inconsistent with it (model
-/// index out of range, posterior or feature width mismatch); recovery
-/// must never panic, and the filter step would on a bad width.
+/// Turns a recovered [`PersistedSession`] back into live session state
+/// pinned to `engine`, the recovered registry's engine for its version.
+/// `None` — the session is dropped to the re-register path — when the
+/// persisted state is inconsistent with that engine (model index out of
+/// range, posterior or feature width mismatch); recovery must never
+/// panic, and the filter step would on a bad width.
 pub(super) fn rehydrate_session(
-    registry: &ModelRegistry,
+    engine: Arc<PredictionEngine>,
     ps: PersistedSession,
 ) -> Option<SessionState> {
-    let engine = registry.get(ModelVersion(ps.version))?;
     if ps.model.is_some_and(|i| i >= engine.models().len()) {
         return None;
     }

@@ -71,7 +71,9 @@ impl ServerHandle {
     ///
     /// The recovered server starts a fresh WAL generation and compacts
     /// immediately, so replay history stays bounded and any torn tail is
-    /// orphaned. Durability counters land under `serve.persist.*`.
+    /// orphaned. Durability counters land under `serve.persist.*`; the
+    /// `serve.persist.recovered` event, emitted after that compaction,
+    /// times the four phases of the cold start (DESIGN.md §3f).
     pub fn open_or_recover(
         dir: &Path,
         engine: PredictionEngine,
@@ -82,6 +84,7 @@ impl ServerHandle {
         let listener = TcpListener::bind(addr)?;
         let start = Instant::now();
         let recovered = persist::recover(dir, MAX_RECORDED_EPOCHS)?;
+        let restore_start = Instant::now();
         let persist = Arc::new(SessionPersist::create(
             dir,
             Arc::clone(&config.clock),
@@ -112,21 +115,37 @@ impl ServerHandle {
             registry
         });
 
-        let n_recovered = recovered.sessions.len();
-        let entries: Vec<_> = recovered
-            .sessions
-            .into_iter()
-            .filter_map(|(id, touch, ps)| Some((id, touch, rehydrate_session(&registry, ps)?)))
-            .collect();
-        let dropped_sessions = n_recovered - entries.len();
-        let sessions = SessionStore::restore(
+        // Each pinned version resolves once, not once per session; a
+        // version whose bundle is gone drops its sessions.
+        let mut pins: Vec<(u64, Option<Arc<PredictionEngine>>)> = Vec::new();
+        let mut dropped_sessions = 0usize;
+        let sessions = SessionStore::restore_with(
             config.n_shards,
             config.max_sessions,
             None,
             recovered.tick,
-            entries,
+            recovered.sessions,
+            |ps| {
+                let engine = match pins.iter().find(|(v, _)| *v == ps.version) {
+                    Some((_, engine)) => engine.clone(),
+                    None => {
+                        let engine = registry.get(ModelVersion(ps.version));
+                        pins.push((ps.version, engine.clone()));
+                        engine
+                    }
+                };
+                let session = engine.and_then(|engine| rehydrate_session(engine, ps));
+                dropped_sessions += usize::from(session.is_none());
+                session
+            },
         );
         let app = AppState::new(registry, sessions, config, Some(persist));
+        let restore_us = persist::micros(restore_start.elapsed());
+        // Fold the replayed history into a fresh snapshot immediately:
+        // bounds the next recovery and orphans any torn tail for good.
+        let compact_start = Instant::now();
+        app.compact_now();
+        let compact_us = persist::micros(compact_start.elapsed());
         if cs2p_obs::enabled() {
             cs2p_obs::observe(
                 "serve.persist.recovery_us",
@@ -140,12 +159,13 @@ impl ServerHandle {
                     ("clean", recovered.clean.into()),
                     ("sessions", app.sessions.len().into()),
                     ("dropped_sessions", dropped_sessions.into()),
+                    ("models_us", recovered.models_us.into()),
+                    ("replay_us", recovered.replay_us.into()),
+                    ("restore_us", restore_us.into()),
+                    ("compact_us", compact_us.into()),
                 ],
             );
         }
-        // Fold the replayed history into a fresh snapshot immediately:
-        // bounds the next recovery and orphans any torn tail for good.
-        app.compact_now();
         spawn_server(listener, app)
     }
 

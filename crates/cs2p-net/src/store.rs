@@ -238,10 +238,11 @@ impl<V> SessionStore<V> {
     /// Rebuilds a store from recovered parts: the persisted tick counter
     /// and `(id, last_touch, value)` triples. Entries are placed directly
     /// in their shards with their original LRU stamps, so TTL/LRU
-    /// behaviour continues exactly where the snapshot left off. If the
-    /// capacity bound shrank across the restart, the least recently
-    /// touched surplus entries are dropped (counted as evictions; no
-    /// sink is installed yet at restore time).
+    /// behaviour continues exactly where the snapshot left off. A repeated
+    /// id keeps its last triple. If the capacity bound shrank across the
+    /// restart, each shard keeps its `per_shard_cap` entries with the
+    /// greatest `(last_touch, id)` and drops the rest (counted as
+    /// evictions; no sink is installed yet at restore time).
     pub fn restore(
         n_shards: usize,
         max_sessions: usize,
@@ -249,28 +250,56 @@ impl<V> SessionStore<V> {
         tick: u64,
         entries: Vec<(u64, u64, V)>,
     ) -> Self {
+        Self::restore_with(n_shards, max_sessions, ttl, tick, entries, Some)
+    }
+
+    /// [`restore`](Self::restore), building each value from its recovered
+    /// form on the way into its shard, so no converted copy of `entries`
+    /// is ever held. An entry `convert` maps to `None` is skipped; it is
+    /// not an eviction.
+    pub fn restore_with<T>(
+        n_shards: usize,
+        max_sessions: usize,
+        ttl: Option<u64>,
+        tick: u64,
+        entries: Vec<(u64, u64, T)>,
+        mut convert: impl FnMut(T) -> Option<V>,
+    ) -> Self {
         let mut store = Self::new(n_shards, max_sessions, ttl);
         *store.tick.get_mut() = tick;
-        for (id, last_touch, value) in entries {
-            let idx = store.shard_of(id);
-            let per_shard_cap = store.per_shard_cap;
-            let shard = store.shards[idx].get_mut();
-            if !shard.contains_key(&id) && shard.len() >= per_shard_cap {
-                if let Some(victim) = shard
-                    .iter()
-                    .min_by_key(|(key, entry)| (entry.last_touch, **key))
-                    .map(|(key, _)| *key)
-                {
-                    shard.remove(&victim);
-                    *store.evicted.get_mut() += 1;
-                    *store.live.get_mut() -= 1;
-                }
-            }
-            let fresh = shard.insert(id, Entry { value, last_touch }).is_none();
-            if fresh {
-                *store.live.get_mut() += 1;
+        // Each shard is sized once, before its first insert.
+        let mut per_shard = vec![0usize; store.shards.len()];
+        for &(id, _, _) in &entries {
+            per_shard[store.shard_of(id)] += 1;
+        }
+        for (shard, &n) in store.shards.iter_mut().zip(&per_shard) {
+            shard.get_mut().reserve(n);
+        }
+        for (id, last_touch, recovered) in entries {
+            if let Some(value) = convert(recovered) {
+                let idx = store.shard_of(id);
+                store.shards[idx]
+                    .get_mut()
+                    .insert(id, Entry { value, last_touch });
             }
         }
+        let cap = store.per_shard_cap;
+        let mut live = 0;
+        for shard in &mut store.shards {
+            let shard = shard.get_mut();
+            if shard.len() > cap {
+                let surplus = shard.len() - cap;
+                let mut stamps: Vec<(u64, u64)> =
+                    shard.iter().map(|(&id, e)| (e.last_touch, id)).collect();
+                stamps.select_nth_unstable(surplus);
+                for &(_, id) in &stamps[..surplus] {
+                    shard.remove(&id);
+                }
+                *store.evicted.get_mut() += surplus as u64;
+            }
+            live += shard.len();
+        }
+        *store.live.get_mut() = live;
         store
     }
 }
@@ -431,6 +460,25 @@ mod tests {
         assert!(store.lock(2).get_mut(2).is_none(), "LRU entry must go");
         assert!(store.lock(1).get_mut(1).is_some());
         assert!(store.lock(3).get_mut(3).is_some());
+    }
+
+    #[test]
+    fn restore_into_a_smaller_capacity_keeps_the_most_recently_touched() {
+        // The stale newcomer goes, not the fresher entry already placed.
+        let store = SessionStore::restore(1, 1, None, 9, vec![(1, 5, "fresh"), (2, 1, "stale")]);
+        assert_eq!((store.len(), store.evicted()), (1, 1));
+        assert_eq!(store.lock(1).get_mut(1).copied(), Some("fresh"));
+        assert!(store.lock(2).get_mut(2).is_none());
+        // Equal stamps fall back to the id.
+        let store =
+            SessionStore::restore(1, 2, None, 9, vec![(7, 3, 'a'), (4, 3, 'b'), (9, 3, 'c')]);
+        assert_eq!((store.len(), store.evicted()), (2, 1));
+        assert!(store.lock(4).get_mut(4).is_none(), "(3, 4) is the least");
+        // A repeated id keeps its last triple and is not an eviction.
+        let store =
+            SessionStore::restore(1, 2, None, 9, vec![(7, 3, 'a'), (4, 3, 'b'), (7, 5, 'd')]);
+        assert_eq!((store.len(), store.evicted()), (2, 0));
+        assert_eq!(store.lock(7).get_mut(7).copied(), Some('d'));
     }
 
     #[test]

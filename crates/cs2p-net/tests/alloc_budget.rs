@@ -7,14 +7,21 @@
 //! is held the same way: decoding a batch frame allocates only the
 //! entries `Vec`, encoding a response once the render cache is warm
 //! allocates only its output, and staging WAL records into a warmed batch
-//! allocates nothing. A counting global allocator states each as a
-//! number. Counts are per thread (the test harness runs each test on its
+//! allocates nothing. Cold start is held the same way: a most-similar
+//! lookup allocates nothing whether it hits on the full feature set or
+//! misses on every subset, rebuilding an engine allocates the same
+//! whatever the number of feature subsets it indexes, and WAL replay
+//! allocates the same whatever the number of measurement updates it
+//! applies. A counting global allocator states each as a number. Counts are per thread (the test harness runs each test on its
 //! own), so the tests cannot disturb one another.
 
+use cs2p_core::{ClusterModel, ClusterSpec, FeatureSchema, FeatureVector, PredictionEngine};
 use cs2p_ml::gaussian::Gaussian;
 use cs2p_ml::hmm::{Emission, FilterState, Hmm};
 use cs2p_ml::matrix::Matrix;
-use cs2p_net::persist::{PersistConfig, PersistedPending, SessionPersist, WalBatch, WalRecord};
+use cs2p_net::persist::{
+    recover, PersistConfig, PersistedPending, PersistedSession, SessionPersist, WalBatch, WalRecord,
+};
 use cs2p_net::protocol::{
     BatchEntryResult, BatchPredictRequest, BatchPredictResponse, Degradation, PredictRequest,
     PredictResponse,
@@ -208,4 +215,146 @@ fn staging_into_a_warmed_wal_batch_allocates_nothing() {
     assert_eq!(allocated, 0, "64 staged records allocated");
     assert_eq!(persist.wal_stats().records, 128);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A one-state cluster model resting on `n_sessions` sessions.
+fn model(n_sessions: usize) -> ClusterModel {
+    ClusterModel {
+        spec: ClusterSpec::GLOBAL,
+        key: vec![],
+        initial_median: 1.0,
+        hmm: Hmm::new(
+            vec![1.0],
+            Matrix::from_rows(&[vec![1.0]]),
+            vec![Emission::Gaussian(Gaussian::new(1.0, 0.5))],
+        ),
+        n_sessions,
+    }
+}
+
+/// What `PredictionEngine::from_parts` takes.
+type EngineParts = (
+    FeatureSchema,
+    Vec<ClusterModel>,
+    ClusterModel,
+    Vec<(FeatureVector, Option<usize>)>,
+);
+
+/// The parts of an engine over `width` features: 40 combos, told apart
+/// by their last column and drawn from a small alphabet elsewhere (so
+/// subsets share projections), spread over four cluster models and the
+/// global one.
+fn engine_parts(width: usize) -> EngineParts {
+    let schema = FeatureSchema::new((0..width).map(|i| format!("f{i}")).collect());
+    let combos = (0..40u32)
+        .map(|c| {
+            let values = (0..width as u32 - 1)
+                .map(|i| (c >> i) % 3)
+                .chain([c])
+                .collect();
+            (
+                FeatureVector(values),
+                (c % 5 < 4).then_some((c % 5) as usize),
+            )
+        })
+        .collect();
+    let models = (0..4).map(|i| model(10 + 5 * i)).collect();
+    (schema, models, model(100), combos)
+}
+
+#[test]
+fn most_similar_lookup_allocates_nothing() {
+    let (schema, models, global, combos) = engine_parts(6);
+    let trained = combos[7].0.clone();
+    let engine = PredictionEngine::from_parts(schema, models, global, combos);
+    let unmatched = FeatureVector(vec![u32::MAX; 6]);
+    // A full-set hit resolves on the first probe; the unmatched vector
+    // probes all 63 subsets before it falls back to the global model.
+    assert!(engine.lookup_detailed(&trained).provenance.is_cluster_hit());
+    assert!(!engine
+        .lookup_detailed(&unmatched)
+        .provenance
+        .is_cluster_hit());
+    assert_eq!(
+        allocations_in(|| engine.lookup_detailed(&trained).model_index),
+        0
+    );
+    assert_eq!(
+        allocations_in(|| engine.lookup_detailed(&unmatched).model_index),
+        0
+    );
+}
+
+#[test]
+fn rebuilding_an_engine_allocates_the_same_for_any_number_of_subsets() {
+    // 3 to 1023 non-empty subsets, 40 combos each.
+    let per_width: Vec<u64> = [2, 6, 10]
+        .into_iter()
+        .map(|width| {
+            let (schema, models, global, combos) = engine_parts(width);
+            allocations_in(move || PredictionEngine::from_parts(schema, models, global, combos))
+        })
+        .collect();
+    // The subset order and the index table, each sized once.
+    assert_eq!(per_width, vec![2; 3]);
+}
+
+#[test]
+fn replay_allocations_do_not_depend_on_the_number_of_updates() {
+    let replay_of = |updates: u64| {
+        let dir = std::env::temp_dir().join(format!(
+            "cs2p-alloc-replay-{}-{updates}",
+            std::process::id()
+        ));
+        let config = PersistConfig {
+            fsync_data: false,
+            snapshot_every_records: 0,
+            ..PersistConfig::default()
+        };
+        let persist = SessionPersist::create(&dir, Arc::new(ManualClock::new()), &config).unwrap();
+        let filter = |epoch: usize| FilterState {
+            posterior: vec![0.2, 0.3, 0.5],
+            epoch,
+        };
+        for id in 0..8 {
+            persist.log(&WalRecord::Register {
+                id,
+                tick: id,
+                session: PersistedSession {
+                    version: 1,
+                    model: Some(0),
+                    cluster_hit: true,
+                    filter: filter(0),
+                    features: vec![1, 2, 3],
+                    observed: vec![],
+                    pending: None,
+                },
+            });
+        }
+        for k in 0..updates {
+            persist.log(&WalRecord::Update {
+                id: k % 8,
+                tick: 8 + k,
+                measured: Some(1.0 + k as f64),
+                observed_len: k / 8 + 1,
+                filter: filter(k as usize / 8 + 1),
+                pending: Some(PersistedPending {
+                    value: 2.0,
+                    initial: false,
+                }),
+            });
+        }
+        persist.flush().unwrap();
+        drop(persist);
+        // Histories stop at 4 measurements, so a session's buffers stop
+        // growing after its fourth update.
+        let allocated = allocations_in(|| {
+            let state = recover(&dir, 4).unwrap();
+            assert_eq!(state.wal_records, 8 + updates);
+            assert!(state.sessions.iter().all(|(_, _, s)| s.observed.len() == 4));
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+        allocated
+    };
+    assert_eq!(replay_of(64), replay_of(1024));
 }

@@ -124,6 +124,24 @@ impl RefStore {
         shard.insert(id, (value, now));
     }
 
+    /// A restart into `max_sessions`: each shard keeps its entries with
+    /// the greatest `(last_touch, id)` up to the new cap and counts the
+    /// rest as evicted.
+    fn restart(&mut self, max_sessions: usize) {
+        self.per_shard_cap = max_sessions.div_ceil(self.shards.len()).max(1);
+        for shard in &mut self.shards {
+            while shard.len() > self.per_shard_cap {
+                let victim = shard
+                    .iter()
+                    .min_by_key(|(key, &(_, t))| (t, **key))
+                    .map(|(key, _)| *key)
+                    .expect("over-full shard has a victim");
+                shard.remove(&victim);
+                self.evicted += 1;
+            }
+        }
+    }
+
     fn remove(&mut self, id: u64) -> Option<u64> {
         let _ = self.next_tick();
         let shard = self.shard_of(id);
@@ -246,13 +264,16 @@ proptest! {
     /// restored copy. The
     /// reference model never restarts — if the restored store disagrees
     /// with it on any value, tick, TTL expiry, or LRU victim,
-    /// persistence lost or mangled state.
+    /// persistence lost or mangled state. Half the cases restart into a
+    /// smaller `max_sessions`, where the model keeps each shard's most
+    /// recently touched entries.
     #[test]
     fn snapshot_restore_is_invisible_to_the_model(
         ops_before in arb_ops(),
         ops_after in arb_ops(),
         n_shards in 1usize..5,
         max_sessions in 1usize..10,
+        shrink in (0u8..2, 1usize..8).prop_map(|(on, by)| if on == 0 { 0 } else { by }),
         ttl_raw in 0u64..8,
     ) {
         let ttl = (ttl_raw > 0).then_some(ttl_raw + 1);
@@ -292,8 +313,15 @@ proptest! {
         prop_assert_eq!(&read_back, &entries);
 
         let evicted_at_restart = model.evicted;
+        let restart_max = max_sessions.saturating_sub(shrink).max(1);
+        model.restart(restart_max);
         let restored: SessionStore<u64> =
-            SessionStore::restore(n_shards, max_sessions, ttl, recovered.tick, read_back);
+            SessionStore::restore(n_shards, restart_max, ttl, recovered.tick, read_back);
+        prop_assert_eq!(
+            restored.evicted() + evicted_at_restart,
+            model.evicted,
+            "evictions at restore"
+        );
         prop_assert_eq!(restored.len(), model.len(), "live count after restore");
         run_ops(&restored, &mut model, &ops_after, evicted_at_restart);
 
