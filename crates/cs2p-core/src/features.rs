@@ -14,8 +14,15 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Maximum number of features a schema may carry (bitmask width).
-const MAX_FEATURES: usize = 32;
+/// Maximum number of features a schema may carry. The cluster search and
+/// the engine's lookup index both enumerate all `2^n - 1` subsets: with
+/// 200 sessions of random 4-valued columns, `ClusterFinder::new` takes
+/// 0.15 s at 12 columns, 2.8 s at 16 and 16 s at 18, and
+/// `PredictionEngine::from_parts` 0.02 s, 0.9 s and 12 s.
+pub(crate) const MAX_FEATURES: usize = 16;
+
+/// Width of the [`FeatureSet`] bitmask.
+const MASK_BITS: usize = u32::BITS as usize;
 
 /// Names the feature columns of a dataset.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -25,7 +32,7 @@ pub struct FeatureSchema {
 
 impl FeatureSchema {
     /// Creates a schema from column names. Panics when empty or when more
-    /// than `MAX_FEATURES` (32) columns are given.
+    /// than `MAX_FEATURES` (16) columns are given.
     pub fn new<S: Into<String>>(names: Vec<S>) -> Self {
         let names: Vec<String> = names.into_iter().map(Into::into).collect();
         assert!(!names.is_empty(), "schema needs at least one feature");
@@ -78,8 +85,7 @@ impl FeatureSchema {
     /// popcount so more-specific sets come later (by mask within a
     /// popcount).
     pub fn all_nonempty_subsets(&self) -> Vec<FeatureSet> {
-        let n = self.len();
-        let mut sets: Vec<FeatureSet> = (1u32..(1u32 << n)).map(FeatureSet).collect();
+        let mut sets: Vec<FeatureSet> = (1..=self.full_set().0).map(FeatureSet).collect();
         sets.sort_unstable_by_key(|s| (s.len(), s.0));
         sets
     }
@@ -131,8 +137,8 @@ impl FeatureSet {
 
     /// The set containing columns `0..n`.
     pub fn full(n: usize) -> Self {
-        assert!(n <= MAX_FEATURES);
-        if n == 32 {
+        assert!(n <= MASK_BITS);
+        if n == MASK_BITS {
             FeatureSet(u32::MAX)
         } else {
             FeatureSet((1u32 << n) - 1)
@@ -143,7 +149,7 @@ impl FeatureSet {
     pub fn from_indices(indices: &[usize]) -> Self {
         let mut mask = 0u32;
         for &i in indices {
-            assert!(i < MAX_FEATURES);
+            assert!(i < MASK_BITS);
             mask |= 1 << i;
         }
         FeatureSet(mask)
@@ -161,7 +167,7 @@ impl FeatureSet {
 
     /// True when column `i` is selected.
     pub fn contains(self, i: usize) -> bool {
-        i < MAX_FEATURES && self.0 & (1 << i) != 0
+        i < MASK_BITS && self.0 & (1 << i) != 0
     }
 
     /// Iterates selected column indices in ascending order.
@@ -263,5 +269,23 @@ mod tests {
     #[should_panic(expected = "at least one feature")]
     fn empty_schema_panics() {
         FeatureSchema::new(Vec::<String>::new());
+    }
+
+    fn columns(n: usize) -> Vec<String> {
+        (0..n).map(|i| format!("f{i}")).collect()
+    }
+
+    #[test]
+    fn the_widest_schema_indexes_every_subset() {
+        let subsets = FeatureSchema::new(columns(MAX_FEATURES)).all_nonempty_subsets();
+        assert_eq!(subsets.len(), (1 << MAX_FEATURES) - 1);
+        assert_eq!(subsets[0], FeatureSet(1));
+        assert_eq!(subsets.last().unwrap().len(), MAX_FEATURES);
+    }
+
+    #[test]
+    #[should_panic(expected = "schema limited to 16 features")]
+    fn a_schema_wider_than_the_limit_panics() {
+        FeatureSchema::new(columns(MAX_FEATURES + 1));
     }
 }

@@ -7,8 +7,9 @@
 //! [`ClientModel`] is the single-cluster subset a player actually needs.
 
 use crate::engine::{ClusterModel, PredictionEngine};
-use crate::features::{FeatureSchema, FeatureVector};
+use crate::features::{FeatureSchema, FeatureVector, MAX_FEATURES};
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 
 /// Everything needed to reconstruct a [`PredictionEngine`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -45,9 +46,37 @@ impl ModelBundle {
         serde_json::to_string(self)
     }
 
-    /// Deserializes from JSON.
+    /// Deserializes from JSON. A bundle [`into_engine`](Self::into_engine)
+    /// could not rebuild is an error, never a later panic.
     pub fn from_json(json: &str) -> serde_json::Result<Self> {
-        serde_json::from_str(json)
+        let bundle: Self = serde_json::from_str(json)?;
+        bundle.check().map_err(serde::DeError)?;
+        Ok(bundle)
+    }
+
+    /// What `PredictionEngine::from_parts` relies on: a schema of 1 to
+    /// `MAX_FEATURES` columns, and combos of the schema's width, each
+    /// full vector once, each naming a model that exists.
+    fn check(&self) -> Result<(), String> {
+        let width = self.schema.len();
+        if !(1..=MAX_FEATURES).contains(&width) {
+            return Err(format!(
+                "schema has {width} features, not 1..={MAX_FEATURES}"
+            ));
+        }
+        let mut seen = HashSet::with_capacity(self.combos.len());
+        for (features, model) in &self.combos {
+            if features.len() != width {
+                return Err(format!("combo {features:?} is not {width} features wide"));
+            }
+            if model.is_some_and(|i| i >= self.models.len()) {
+                return Err(format!("combo {features:?} names model {model:?}"));
+            }
+            if !seen.insert(features) {
+                return Err(format!("combo {features:?} is repeated"));
+            }
+        }
+        Ok(())
     }
 
     /// Writes the bundle to `path` crash-safely: serialize to
@@ -68,8 +97,9 @@ impl ModelBundle {
     }
 
     /// Reads a bundle previously written by
-    /// [`write_atomic`](Self::write_atomic). Corrupt JSON is an
-    /// `InvalidData` error, never a panic.
+    /// [`write_atomic`](Self::write_atomic). Corrupt JSON, or a bundle
+    /// [`from_json`](Self::from_json) rejects, is an `InvalidData` error,
+    /// never a panic.
     pub fn read_atomic(path: &std::path::Path) -> std::io::Result<Self> {
         let json = std::fs::read_to_string(path)?;
         Self::from_json(&json).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
@@ -191,5 +221,45 @@ mod tests {
     fn corrupt_json_is_an_error_not_a_panic() {
         assert!(ClientModel::from_json("{not json").is_err());
         assert!(ModelBundle::from_json("42").is_err());
+    }
+
+    /// A bundle over `width` columns with one combo per given index.
+    fn bundle(width: usize, combos: &[Option<usize>]) -> ModelBundle {
+        let names: Vec<String> = (0..width).map(|i| format!("\"f{i}\"")).collect();
+        let schema = format!("{{\"names\":[{}]}}", names.join(","));
+        ModelBundle {
+            schema: serde_json::from_str(&schema).unwrap(),
+            models: vec![six_state_model()],
+            global: six_state_model(),
+            combos: combos
+                .iter()
+                .enumerate()
+                .map(|(k, &model)| (FeatureVector(vec![k as u32; width]), model))
+                .collect(),
+        }
+    }
+
+    fn rejection(bundle: &ModelBundle) -> String {
+        let json = bundle.to_json().unwrap();
+        ModelBundle::from_json(&json).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn bundles_from_parts_cannot_rebuild_are_rejected_at_decode() {
+        let good = bundle(3, &[Some(0), None]);
+        assert_eq!(ModelBundle::from_json(&good.to_json().unwrap()), Ok(good));
+
+        // Decoding rejects the width; nothing enumerates 2^32 subsets.
+        for width in [0, MAX_FEATURES + 1, 32] {
+            let wide = bundle(width, &[None]);
+            assert!(rejection(&wide).contains("features, not 1..=16"), "{width}");
+        }
+        let mut narrow = bundle(3, &[None]);
+        narrow.combos[0].0 .0.pop();
+        assert!(rejection(&narrow).contains("is not 3 features wide"));
+        assert!(rejection(&bundle(3, &[Some(1)])).contains("names model Some(1)"));
+        let mut repeated = bundle(3, &[Some(0), None]);
+        repeated.combos[1].0 = repeated.combos[0].0.clone();
+        assert!(rejection(&repeated).contains("is repeated"));
     }
 }

@@ -9,8 +9,10 @@
 //! gates; what the WAL costs is `perf/`'s `predict_batch64_wal`.
 //!
 //! `fsync_data` is off and `snapshot_every_records = 0` disables
-//! load-triggered compaction: only the deterministic startup compaction
-//! runs, so a capture is reproducible across two runs (CI diffs them).
+//! load-triggered compaction: the one compaction runs after the load,
+//! with no request in flight, so a capture is reproducible across two
+//! runs (CI diffs them). The directory starts fresh, which is no damage:
+//! the startup recovery does not compact.
 //! The workload is a fixed request count, so
 //! `serve.persist.wal_records`/`wal_bytes` are bit-deterministic; the
 //! commit count depends on how shard groups interleave and is only
@@ -51,6 +53,7 @@ fn capture_cadence(out: &mut String, commit_every: usize) -> WalStats {
     let wal = server
         .persist_stats()
         .expect("durable server reports WAL stats");
+    server.compact();
     server.shutdown();
     assert!(!wal.dead, "capture WAL died: {wal:?}");
     // Batched requests land whole shard groups (up to 64 records) in one

@@ -126,10 +126,17 @@ fn serve_and_persist_captures_pass_the_ci_gates() {
         .lines()
         .find(|l| l.contains("\"name\":\"serve.persist.recovered\""))
         .expect("checked above");
-    for phase in ["models_us", "replay_us", "restore_us", "compact_us"] {
+    for phase in ["models_us", "replay_us", "restore_us"] {
         assert!(
             recovered.contains(&format!("\"{phase}\":")),
             "serve.persist.recovered has no {phase}: {recovered}"
+        );
+    }
+    // A fresh directory is no damage: no startup compaction, none timed.
+    for field in ["\"compacted\":false", "\"compact_us\":0"] {
+        assert!(
+            recovered.contains(field),
+            "serve.persist.recovered lacks {field}: {recovered}"
         );
     }
 }

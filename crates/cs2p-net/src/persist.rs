@@ -47,7 +47,9 @@
 //!   sorted by id once at the end. `ServerHandle::open_or_recover` turns the
 //!   result back into a live server whose sessions, filter posteriors,
 //!   pinned model versions, and store tick state are bit-identical to
-//!   the committed prefix of the crashed run.
+//!   the committed prefix of the crashed run, and compacts at startup
+//!   only when recovery found damage ([`RecoveredState::clean`],
+//!   [`RecoveredState::snapshot_corrupt`]).
 //!
 //! What is deliberately **not** durable: quality-monitor sketches, the
 //! completed-session recorder window, uploaded logs, fault counters, and
@@ -957,14 +959,22 @@ fn decode_snapshot(bytes: &[u8], max_observed: usize) -> Option<(u64, Replay)> {
     (frames.clean && entries == count).then_some((covered_gen, replay))
 }
 
-/// Reads `store.snap`; a missing file is `None`, and so is a corrupt one
+/// Reads `store.snap`; a missing file is an empty table covering no
+/// generation. A corrupt or unreadable one is `None`
 /// (`serve.persist.snapshot_corrupt`) — recovery treats it as absent
 /// rather than panicking or applying part of it. The WAL generations it
 /// covered were unlinked when it was written, so the sessions only it
 /// held fall to the re-register path; recovery replays just the
 /// generations it did not cover.
 fn read_snapshot(path: &Path, max_observed: usize) -> Option<(u64, Replay)> {
-    let snapshot = decode_snapshot(&fs::read(path).ok()?, max_observed);
+    let snapshot = match fs::read(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {
+            return Some((0, Replay::new(0, 0, max_observed)))
+        }
+        read => read
+            .ok()
+            .and_then(|bytes| decode_snapshot(&bytes, max_observed)),
+    };
     if snapshot.is_none() {
         cs2p_obs::event(
             cs2p_obs::Level::Warn,
@@ -1083,9 +1093,10 @@ pub struct PersistConfig {
     /// Also commit once this much time has elapsed on the server's
     /// injectable clock since the last commit (checked at append).
     pub commit_interval: Option<Duration>,
-    /// Rotate the WAL and write a store snapshot every this many records
-    /// (0 disables periodic compaction; a snapshot is still written at
-    /// recovery).
+    /// Rotate the WAL and write a store snapshot every this many records,
+    /// counting the records a clean recovery replayed (0 disables periodic
+    /// compaction: a snapshot is then written only to repair a recovery
+    /// that found damage).
     pub snapshot_every_records: u64,
     /// `fdatasync` each commit. Disabling trades power-loss durability
     /// for throughput (process-crash durability is kept — the bytes are
@@ -1338,6 +1349,13 @@ impl SessionPersist {
         batch.records = 0;
     }
 
+    /// Counts `records` toward the compaction cadence: the WAL records a
+    /// clean recovery replayed and left in place, so the next snapshot
+    /// comes where it would have had the server never restarted.
+    pub fn resume_cadence(&self, records: u64) {
+        self.since_snapshot.fetch_add(records, Ordering::Relaxed);
+    }
+
     /// Whether the compaction cadence is due. Cheap; called per request.
     pub fn should_compact(&self) -> bool {
         self.snapshot_every > 0
@@ -1420,6 +1438,9 @@ pub struct RecoveredState {
     pub current_version: Option<u64>,
     /// `false` when replay stopped at a torn or corrupt record.
     pub clean: bool,
+    /// `store.snap` was present but did not decode (a missing one is a
+    /// fresh start, not damage).
+    pub snapshot_corrupt: bool,
     /// WAL records replayed (after snapshot-coverage skipping).
     pub wal_records: u64,
     /// Microseconds spent loading the model bundles.
@@ -1440,8 +1461,10 @@ pub fn recover(dir: &Path, max_observed: usize) -> io::Result<RecoveredState> {
     let models_us = micros(start.elapsed());
 
     let start = Instant::now();
-    let (covered_gen, mut replay) = read_snapshot(&dir.join(SNAPSHOT_FILE), max_observed)
-        .unwrap_or_else(|| (0, Replay::new(0, 0, max_observed)));
+    let snapshot = read_snapshot(&dir.join(SNAPSHOT_FILE), max_observed);
+    let snapshot_corrupt = snapshot.is_none();
+    let (covered_gen, mut replay) =
+        snapshot.unwrap_or_else(|| (0, Replay::new(0, 0, max_observed)));
     let mut clean = true;
     let mut wal_records = 0u64;
     'segments: for gen in list_segments(dir)? {
@@ -1482,6 +1505,7 @@ pub fn recover(dir: &Path, max_observed: usize) -> io::Result<RecoveredState> {
         engines,
         current_version,
         clean,
+        snapshot_corrupt,
         wal_records,
         models_us,
         replay_us,

@@ -69,11 +69,16 @@ impl ServerHandle {
     /// corrupt) are dropped to the re-register path, never served from a
     /// mismatched model.
     ///
-    /// The recovered server starts a fresh WAL generation and compacts
-    /// immediately, so replay history stays bounded and any torn tail is
-    /// orphaned. Durability counters land under `serve.persist.*`; the
-    /// `serve.persist.recovered` event, emitted after that compaction,
-    /// times the four phases of the cold start (DESIGN.md §3f).
+    /// The recovered server starts a fresh WAL generation after the old
+    /// ones. It compacts at once only to repair: when replay stopped at a
+    /// torn or corrupt record (orphaning the tail), when `store.snap` did
+    /// not decode, or when the restore dropped sessions the disk still
+    /// holds. After a clean recovery the old segments stay, and the
+    /// records replayed from them count toward
+    /// [`PersistConfig::snapshot_every_records`], which bounds the next
+    /// replay. Durability counters land under `serve.persist.*`; the
+    /// `serve.persist.recovered` event times the four phases of the cold
+    /// start (DESIGN.md §3f).
     pub fn open_or_recover(
         dir: &Path,
         engine: PredictionEngine,
@@ -90,6 +95,9 @@ impl ServerHandle {
             Arc::clone(&config.clock),
             &persist_config,
         )?);
+        persist.resume_cadence(recovered.wal_records);
+        let damaged = !recovered.clean || recovered.snapshot_corrupt;
+        let on_disk = recovered.sessions.len();
 
         let refresh = &config.refresh;
         let restored = recovered.current_version.and_then(|current| {
@@ -141,11 +149,17 @@ impl ServerHandle {
         );
         let app = AppState::new(registry, sessions, config, Some(persist));
         let restore_us = persist::micros(restore_start.elapsed());
-        // Fold the replayed history into a fresh snapshot immediately:
-        // bounds the next recovery and orphans any torn tail for good.
-        let compact_start = Instant::now();
-        app.compact_now();
-        let compact_us = persist::micros(compact_start.elapsed());
+        // A torn tail must be orphaned before anything is appended after
+        // it, and a store that holds fewer sessions than the disk must not
+        // see them come back at the next restart.
+        let compacted = damaged || app.sessions.len() != on_disk;
+        let compact_us = if compacted {
+            let compact_start = Instant::now();
+            app.compact_now();
+            persist::micros(compact_start.elapsed())
+        } else {
+            0
+        };
         if cs2p_obs::enabled() {
             cs2p_obs::observe(
                 "serve.persist.recovery_us",
@@ -157,6 +171,7 @@ impl ServerHandle {
                 vec![
                     ("wal_records", recovered.wal_records.into()),
                     ("clean", recovered.clean.into()),
+                    ("compacted", compacted.into()),
                     ("sessions", app.sessions.len().into()),
                     ("dropped_sessions", dropped_sessions.into()),
                     ("models_us", recovered.models_us.into()),

@@ -30,6 +30,7 @@
 //! (capacity far above the session count, `/log` only for live
 //! sessions — nothing ever evicts or no-ops).
 
+use cs2p_core::ModelBundle;
 use cs2p_net::http::{Request, Response};
 use cs2p_net::persist::{decode_frames, recover, RegistryDir, Wal, WalRecord};
 use cs2p_net::protocol::{PredictRequest, SessionLog};
@@ -39,7 +40,7 @@ use cs2p_testkit::crash::{copy_dir, CrashPlan, TempDir};
 use cs2p_testkit::scenarios::tiny_engine;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 /// `tiny_engine()` trains from scratch; this battery spins ~100 servers,
@@ -192,6 +193,61 @@ proptest! {
             prop_assert_eq!(loaded_current, None, "dangling pointer must filter out");
         }
     }
+}
+
+/// Rewrites the current bundle of a served directory with one defect
+/// `PredictionEngine::from_parts` would panic on, then restarts: the
+/// server must start, skip the bundle and bootstrap, and serve.
+fn restart_over_a_defective_bundle(defect: impl Fn(&mut ModelBundle)) {
+    let dir = TempDir::new("bundle-defect");
+    let server = persist_server(dir.path(), strict_persist(None));
+    let mut client = HttpClient::new(server.addr());
+    for step in &request_stream()[..SESSIONS.len()] {
+        drive(&mut client, step);
+    }
+    drop(client);
+    server.shutdown();
+
+    let path = dir.path().join("models").join("v1.json");
+    let mut bundle = ModelBundle::read_atomic(&path).unwrap();
+    defect(&mut bundle);
+    std::fs::write(&path, bundle.to_json().unwrap()).unwrap();
+    let err = ModelBundle::read_atomic(&path).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    let (engines, current) = RegistryDir::load(&dir.path().join("models")).unwrap();
+    assert!(engines.is_empty() && current.is_none());
+
+    let recovered = persist_server(dir.path(), strict_persist(None));
+    assert_eq!(recovered.model_version().0, 1, "bootstrapped a fresh v1");
+    let mut client = HttpClient::new(recovered.addr());
+    drive(&mut client, &request_stream()[0]);
+    drop(client);
+    recovered.shutdown();
+}
+
+#[test]
+fn a_bundle_repeating_a_combo_is_skipped_at_startup() {
+    restart_over_a_defective_bundle(|b| {
+        let first = b.combos[0].clone();
+        b.combos.push(first);
+    });
+}
+
+#[test]
+fn a_bundle_naming_a_missing_model_is_skipped_at_startup() {
+    restart_over_a_defective_bundle(|b| b.combos[0].1 = Some(b.models.len()));
+}
+
+#[test]
+fn a_bundle_wider_than_the_schema_limit_is_skipped_at_startup() {
+    restart_over_a_defective_bundle(|b| {
+        let names: Vec<String> = (0..17).map(|i| format!("\"f{i}\"")).collect();
+        let json = format!("{{\"names\":[{}]}}", names.join(","));
+        b.schema = serde_json::from_str(&json).unwrap();
+        for (features, _) in &mut b.combos {
+            features.0.resize(17, 0);
+        }
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -564,4 +620,268 @@ fn snapshot_byte_flip_at_every_offset_recovers_identical_state_or_none() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Startup compaction: only to repair
+// ---------------------------------------------------------------------
+
+/// `n` measurement steps over the live sessions, distinct per `round`;
+/// features ride along so a session the stream retired re-registers.
+/// Each appends one record.
+fn traffic(round: u64, n: usize) -> Vec<Step> {
+    (0..n)
+        .map(|k| {
+            let i = k % SESSIONS.len();
+            Step::Predict(PredictRequest {
+                session_id: SESSIONS[i],
+                features: Some(vec![i as u32 % 2]),
+                measured_mbps: Some(1.0 + 0.125 * round as f64 + 0.0625 * k as f64),
+                horizon: 2,
+            })
+        })
+        .collect()
+}
+
+fn feed(server: &ServerHandle, steps: &[Step]) {
+    let mut client = HttpClient::new(server.addr());
+    for step in steps {
+        drive(&mut client, step);
+    }
+}
+
+fn with_cadence(records: u64) -> PersistConfig {
+    PersistConfig {
+        snapshot_every_records: records,
+        ..strict_persist(None)
+    }
+}
+
+/// Every file under `dir` (`models/` included) with its bytes.
+fn files(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut out = BTreeMap::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            out.extend(files(&path));
+        } else {
+            out.insert(path.clone(), std::fs::read(&path).unwrap());
+        }
+    }
+    out
+}
+
+/// A clean restart rewrites nothing: `store.snap` and every segment keep
+/// their bytes, and the one new file is the fresh, empty generation.
+#[test]
+fn a_clean_restart_writes_no_snapshot_and_unlinks_no_segment() {
+    let steps = request_stream();
+    let (in_snapshot, in_tail) = steps.split_at(SESSIONS.len() * 4);
+    let dir = TempDir::new("clean-restart");
+    let server = persist_server(dir.path(), strict_persist(None));
+    assert!(
+        !dir.path().join("store.snap").exists(),
+        "a fresh start is not damage"
+    );
+    feed(&server, in_snapshot);
+    server.compact();
+    feed(&server, in_tail);
+    server.shutdown();
+
+    let before = files(dir.path());
+    assert!(before.contains_key(&dir.path().join("store.snap")));
+    let recovered = persist_server(dir.path(), strict_persist(None));
+    let after = files(dir.path());
+    for (path, bytes) in &before {
+        assert_eq!(after.get(path), Some(bytes), "{} changed", path.display());
+    }
+    let new: Vec<_> = after.keys().filter(|p| !before.contains_key(*p)).collect();
+    assert_eq!(new.len(), 1, "{new:?}");
+    assert!(after[new[0]].is_empty() && new[0].extension().unwrap() == "log");
+    recovered.shutdown();
+}
+
+/// The records a clean recovery replayed count toward the cadence: the
+/// first snapshot comes on exactly the record that brings replayed plus
+/// new to `snapshot_every_records`.
+#[test]
+fn the_first_compaction_after_a_clean_restart_comes_at_the_cadence() {
+    const CADENCE: usize = 10;
+    let dir = TempDir::new("cadence");
+    let snap = dir.path().join("store.snap");
+    for replayed in [0, 1, 7, CADENCE - 1] {
+        let _ = std::fs::remove_dir_all(dir.path());
+        let server = persist_server(dir.path(), with_cadence(CADENCE as u64));
+        feed(&server, &traffic(0, replayed));
+        server.shutdown();
+        assert!(!snap.exists());
+
+        let server = persist_server(dir.path(), with_cadence(CADENCE as u64));
+        let mut client = HttpClient::new(server.addr());
+        for (k, step) in traffic(1, CADENCE).iter().enumerate() {
+            drive(&mut client, step);
+            let due = replayed + k + 1 >= CADENCE;
+            assert_eq!(snap.exists(), due, "{replayed} replayed, {} new", k + 1);
+            if due {
+                break;
+            }
+        }
+        drop(client);
+        server.shutdown();
+    }
+}
+
+/// Records appended after a skipped compaction live in a segment behind
+/// the old ones; a second restart, clean or torn at any commit, must
+/// still recover exactly the committed prefix.
+#[test]
+fn records_after_a_skipped_compaction_survive_a_second_restart() {
+    let steps = request_stream();
+    let (first, second) = steps.split_at(SESSIONS.len() * 2 + 1);
+    let run = |hook: Option<Arc<CrashPlan>>, committed: usize, label: &str| {
+        let dir = TempDir::new("second-restart");
+        let server = persist_server(dir.path(), strict_persist(None));
+        feed(&server, first);
+        server.shutdown();
+        let server = persist_server(dir.path(), strict_persist(hook));
+        assert!(!dir.path().join("store.snap").exists(), "{label}");
+        feed(&server, second);
+        server.shutdown();
+
+        let control_dir = TempDir::new("second-restart-control");
+        let control = persist_server(control_dir.path(), strict_persist(None));
+        feed(&control, &steps[..first.len() + committed]);
+        let recovered = persist_server(dir.path(), strict_persist(None));
+        assert_eq!(probe(recovered.addr()), probe(control.addr()), "{label}");
+        recovered.shutdown();
+        control.shutdown();
+    };
+    run(None, second.len(), "clean");
+    for k in 0..second.len() {
+        let torn = CrashPlan::torn_at_commit(k as u64, 0x5EC0 + k as u64);
+        run(Some(torn), k, &format!("torn at commit {k}"));
+    }
+}
+
+/// Starts a server over `damaged`, which must compact at startup, and one
+/// over `repaired` (the same state without the damage), which must not
+/// until asked: both then hold the same `store.snap`, byte for byte —
+/// the startup compaction writes what an explicit one over the recovered
+/// store writes.
+fn assert_repair_compacts(damaged: &Path, repaired: &Path) {
+    let snap = |dir: &Path| std::fs::read(dir.join("store.snap")).ok();
+    let (damaged_before, repaired_before) = (snap(damaged), snap(repaired));
+    let server = persist_server(damaged, strict_persist(None));
+    let written = snap(damaged).expect("a damaged recovery writes a snapshot");
+    assert_ne!(Some(&written), damaged_before.as_ref());
+    server.shutdown();
+    let server = persist_server(repaired, strict_persist(None));
+    assert_eq!(
+        snap(repaired),
+        repaired_before,
+        "a clean recovery compacted"
+    );
+    server.compact();
+    assert_eq!(snap(repaired), Some(written));
+    server.shutdown();
+}
+
+#[test]
+fn a_torn_tail_still_compacts_to_the_same_snapshot() {
+    let steps = request_stream();
+    let committed = steps.len() - 2;
+    let damaged = TempDir::new("torn-compacts");
+    let plan = CrashPlan::torn_at_commit(committed as u64, 0x7EA5);
+    let server = persist_server(damaged.path(), strict_persist(Some(plan)));
+    feed(&server, &steps);
+    server.shutdown();
+
+    let repaired = TempDir::new("torn-compacts-repaired");
+    copy_dir(damaged.path(), repaired.path());
+    let segment = repaired.path().join("wal-000001.log");
+    let bytes = std::fs::read(&segment).unwrap();
+    let replay = decode_frames(&bytes);
+    assert!(!replay.clean && replay.records.len() == committed);
+    std::fs::write(&segment, &bytes[..replay.valid_bytes as usize]).unwrap();
+    assert_repair_compacts(damaged.path(), repaired.path());
+}
+
+#[test]
+fn a_corrupt_snapshot_still_compacts_to_the_same_snapshot() {
+    let steps = request_stream();
+    let damaged = TempDir::new("corrupt-compacts");
+    let server = persist_server(damaged.path(), strict_persist(None));
+    feed(&server, &steps[..SESSIONS.len() * 4]);
+    server.compact();
+    feed(&server, &steps[SESSIONS.len() * 4..]);
+    server.shutdown();
+
+    let repaired = TempDir::new("corrupt-compacts-repaired");
+    copy_dir(damaged.path(), repaired.path());
+    std::fs::remove_file(repaired.path().join("store.snap")).unwrap();
+    let snap = damaged.path().join("store.snap");
+    let mut bytes = std::fs::read(&snap).unwrap();
+    let middle = bytes.len() / 2;
+    bytes[middle] ^= 0x80;
+    std::fs::write(&snap, bytes).unwrap();
+    assert_repair_compacts(damaged.path(), repaired.path());
+}
+
+/// A restart into a smaller store drops sessions the disk still holds;
+/// it compacts, so a later restart at full size does not bring them back.
+#[test]
+fn a_restore_that_drops_sessions_compacts() {
+    let dir = TempDir::new("shrink");
+    let server = persist_server(dir.path(), strict_persist(None));
+    feed(&server, &request_stream()[..SESSIONS.len()]);
+    server.shutdown();
+    let small = ServeConfig {
+        n_shards: 1,
+        n_workers: 1,
+        max_sessions: 1,
+        ..ServeConfig::default()
+    };
+    let server = ServerHandle::open_or_recover(
+        dir.path(),
+        cached_engine(),
+        "127.0.0.1:0",
+        small,
+        strict_persist(None),
+    )
+    .unwrap();
+    assert_eq!(server.stats().sessions_live, 1);
+    server.shutdown();
+    let server = persist_server(dir.path(), strict_persist(None));
+    assert_eq!(
+        server.stats().sessions_live,
+        1,
+        "dropped sessions came back"
+    );
+    server.shutdown();
+}
+
+/// Ten clean restarts with traffic between them: every replay stays
+/// below the cadence plus one frame, and the sessions predict what a
+/// server that never restarted predicts.
+#[test]
+fn clean_restarts_keep_the_replay_within_the_cadence() {
+    const CADENCE: u64 = 8;
+    let dir = TempDir::new("ten-restarts");
+    let control_dir = TempDir::new("ten-restarts-control");
+    let control = persist_server(control_dir.path(), with_cadence(CADENCE));
+    let mut replays = Vec::new();
+    for round in 0..10u64 {
+        replays.push(recover(dir.path(), 1024).unwrap().wal_records);
+        let server = persist_server(dir.path(), with_cadence(CADENCE));
+        let steps = traffic(round, 3 + (round as usize * 5) % 7);
+        feed(&server, &steps);
+        feed(&control, &steps);
+        server.shutdown();
+    }
+    assert!(replays.iter().all(|&r| r < CADENCE + 1), "{replays:?}");
+    assert!(replays.iter().any(|&r| r > 0), "{replays:?}");
+    let recovered = persist_server(dir.path(), with_cadence(CADENCE));
+    assert_eq!(probe(recovered.addr()), probe(control.addr()));
+    recovered.shutdown();
+    control.shutdown();
 }
