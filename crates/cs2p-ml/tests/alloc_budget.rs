@@ -27,6 +27,7 @@ struct Counting;
 // SAFETY: every call is forwarded unchanged to `System`; the only
 // addition is a bump of a const-initialised, destructor-free thread-local
 // `Cell`, which neither allocates nor re-enters the allocator.
+#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));

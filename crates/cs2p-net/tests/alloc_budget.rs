@@ -10,10 +10,12 @@
 //! allocates nothing. Cold start is held the same way: a most-similar
 //! lookup allocates nothing whether it hits on the full feature set or
 //! misses on every subset, rebuilding an engine allocates the same
-//! whatever the number of feature subsets it indexes, and WAL replay
+//! whatever the number of feature subsets it indexes, WAL replay
 //! allocates the same whatever the number of measurement updates it
-//! applies. A counting global allocator states each as a number. Counts are per thread (the test harness runs each test on its
-//! own), so the tests cannot disturb one another.
+//! applies, and its largest allocation (the read buffer) is the same
+//! whatever the size of the WAL. A counting global allocator states each
+//! as a number. Counts are per thread (the test harness runs each test on
+//! its own), so the tests cannot disturb one another.
 
 use cs2p_core::{ClusterModel, ClusterSpec, FeatureSchema, FeatureVector, PredictionEngine};
 use cs2p_ml::gaussian::Gaussian;
@@ -34,23 +36,32 @@ use std::sync::Arc;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
 struct Counting;
 
+/// Counts one allocation of `size` bytes on this thread.
+fn count(size: usize) {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|n| n.set(n.get().max(size)));
+}
+
 // SAFETY: every call is forwarded unchanged to `System`; the only
-// addition is a bump of a const-initialised, destructor-free thread-local
-// `Cell`, which neither allocates nor re-enters the allocator.
+// addition is a bump of two const-initialised, destructor-free
+// thread-local `Cell`s, which neither allocates nor re-enters the
+// allocator.
+#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        count(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -65,6 +76,16 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> u64 {
     let after = ALLOCATIONS.with(Cell::get);
     drop(out);
     after - before
+}
+
+/// The largest single allocation (or reallocation), in bytes, this
+/// thread makes while `f` runs.
+fn largest_allocation_in<T>(f: impl FnOnce() -> T) -> usize {
+    LARGEST.with(|n| n.set(0));
+    let out = f();
+    let largest = LARGEST.with(Cell::get);
+    drop(out);
+    largest
 }
 
 #[test]
@@ -299,53 +320,69 @@ fn rebuilding_an_engine_allocates_the_same_for_any_number_of_subsets() {
     assert_eq!(per_width, vec![2; 3]);
 }
 
+/// A persistence directory whose WAL holds 8 registrations and then
+/// `updates` measurement updates spread over them, unsnapshotted.
+fn wal_dir(tag: &str, updates: u64) -> std::path::PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("cs2p-alloc-{tag}-{}-{updates}", std::process::id()));
+    let config = PersistConfig {
+        fsync_data: false,
+        snapshot_every_records: 0,
+        commit_every_records: 4096,
+        ..PersistConfig::default()
+    };
+    let persist = SessionPersist::create(&dir, Arc::new(ManualClock::new()), &config).unwrap();
+    let filter = |epoch: usize| FilterState {
+        posterior: vec![0.2, 0.3, 0.5],
+        epoch,
+    };
+    for id in 0..8 {
+        persist.log(&WalRecord::Register {
+            id,
+            tick: id,
+            session: PersistedSession {
+                version: 1,
+                model: Some(0),
+                cluster_hit: true,
+                filter: filter(0),
+                features: vec![1, 2, 3],
+                observed: vec![],
+                pending: None,
+            },
+        });
+    }
+    for k in 0..updates {
+        persist.log(&WalRecord::Update {
+            id: k % 8,
+            tick: 8 + k,
+            measured: Some(1.0 + k as f64),
+            observed_len: k / 8 + 1,
+            filter: filter(k as usize / 8 + 1),
+            pending: Some(PersistedPending {
+                value: 2.0,
+                initial: false,
+            }),
+        });
+    }
+    persist.flush().unwrap();
+    dir
+}
+
+/// The one WAL segment in `dir`.
+fn segment(dir: &std::path::Path) -> std::path::PathBuf {
+    let mut segments = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "log"));
+    let path = segments.next().expect("a WAL segment");
+    assert!(segments.next().is_none(), "one WAL segment");
+    path
+}
+
 #[test]
 fn replay_allocations_do_not_depend_on_the_number_of_updates() {
     let replay_of = |updates: u64| {
-        let dir = std::env::temp_dir().join(format!(
-            "cs2p-alloc-replay-{}-{updates}",
-            std::process::id()
-        ));
-        let config = PersistConfig {
-            fsync_data: false,
-            snapshot_every_records: 0,
-            ..PersistConfig::default()
-        };
-        let persist = SessionPersist::create(&dir, Arc::new(ManualClock::new()), &config).unwrap();
-        let filter = |epoch: usize| FilterState {
-            posterior: vec![0.2, 0.3, 0.5],
-            epoch,
-        };
-        for id in 0..8 {
-            persist.log(&WalRecord::Register {
-                id,
-                tick: id,
-                session: PersistedSession {
-                    version: 1,
-                    model: Some(0),
-                    cluster_hit: true,
-                    filter: filter(0),
-                    features: vec![1, 2, 3],
-                    observed: vec![],
-                    pending: None,
-                },
-            });
-        }
-        for k in 0..updates {
-            persist.log(&WalRecord::Update {
-                id: k % 8,
-                tick: 8 + k,
-                measured: Some(1.0 + k as f64),
-                observed_len: k / 8 + 1,
-                filter: filter(k as usize / 8 + 1),
-                pending: Some(PersistedPending {
-                    value: 2.0,
-                    initial: false,
-                }),
-            });
-        }
-        persist.flush().unwrap();
-        drop(persist);
+        let dir = wal_dir("replay", updates);
         // Histories stop at 4 measurements, so a session's buffers stop
         // growing after its fourth update.
         let allocated = allocations_in(|| {
@@ -357,4 +394,40 @@ fn replay_allocations_do_not_depend_on_the_number_of_updates() {
         allocated
     };
     assert_eq!(replay_of(64), replay_of(1024));
+}
+
+#[test]
+fn recovery_reads_a_wal_of_any_size_through_one_64_kib_buffer() {
+    // `(WAL bytes, largest allocation of recover)`. With `torn_tail`, a
+    // last frame header claims a payload just under the 16 MiB record
+    // cap, far more than the file has left: recovery must stop there
+    // without allocating for it.
+    let largest_of = |updates: u64, torn_tail: bool| {
+        let dir = wal_dir("largest", updates);
+        let path = segment(&dir);
+        if torn_tail {
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes.extend_from_slice(&(16 * 1024 * 1024 - 1u32).to_le_bytes());
+            bytes.extend_from_slice(&[0xA5; 4 + 100]);
+            std::fs::write(&path, bytes).unwrap();
+        }
+        let len = std::fs::metadata(&path).unwrap().len();
+        let largest = largest_allocation_in(|| {
+            let state = recover(&dir, 4).unwrap();
+            assert_eq!(state.wal_records, 8 + updates);
+            assert_eq!(state.clean, !torn_tail);
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+        (len, largest)
+    };
+    let (small_len, small) = largest_of(700, false);
+    let (big_len, big) = largest_of(48_000, false);
+    let (_, torn) = largest_of(48_000, true);
+    assert!(
+        (60_000..65_536).contains(&small_len) && big_len > 4_000_000,
+        "WALs of {small_len} and {big_len} bytes"
+    );
+    assert_eq!(small, big, "largest allocation, 64 KB vs 4 MB WAL");
+    assert_eq!(big, torn, "largest allocation, 4 MB WAL with a torn tail");
+    assert_eq!(big, 64 * 1024, "the read buffer is the largest allocation");
 }

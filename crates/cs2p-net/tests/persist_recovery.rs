@@ -31,8 +31,9 @@
 //! sessions — nothing ever evicts or no-ops).
 
 use cs2p_core::ModelBundle;
+use cs2p_ml::hmm::FilterState;
 use cs2p_net::http::{Request, Response};
-use cs2p_net::persist::{decode_frames, recover, RegistryDir, Wal, WalRecord};
+use cs2p_net::persist::{decode_frames, recover, PersistedSession, RegistryDir, Wal, WalRecord};
 use cs2p_net::protocol::{PredictRequest, SessionLog};
 use cs2p_net::{HttpClient, PersistConfig, ServeConfig, ServerHandle};
 use cs2p_obs::ManualClock;
@@ -141,6 +142,147 @@ proptest! {
         prop_assert_eq!(&replay.records, &payloads[..intact]);
         prop_assert!(!replay.clean, "a flipped bit must mark the log unclean");
     }
+}
+
+// ---------------------------------------------------------------------
+// Streaming reader
+// ---------------------------------------------------------------------
+
+/// The size `recover` reads a file in, and keeps its buffer at unless
+/// one frame is longer.
+const READ_BUF: usize = 64 * 1024;
+
+/// `MAX_RECORD_LEN`: the largest payload a frame header may claim.
+const MAX_RECORD_LEN: u32 = 16 * 1024 * 1024;
+
+/// A `Register` of `id` with an `observed` history of `n` values: its
+/// frame is `60 + 8n` bytes.
+fn register(id: u64, n: usize) -> WalRecord {
+    WalRecord::Register {
+        id,
+        tick: id,
+        session: PersistedSession {
+            version: 1,
+            model: None,
+            cluster_hit: false,
+            filter: FilterState {
+                posterior: vec![],
+                epoch: 0,
+            },
+            features: vec![id as u32],
+            observed: (0..n).map(|k| (id * 1000 + k as u64) as f64).collect(),
+            pending: None,
+        },
+    }
+}
+
+/// Where `recover`'s reads of a file end, given where its frames end: it
+/// reads a buffer's worth, refills from the start of the first frame the
+/// buffer does not hold whole, and grows the buffer only to hold one
+/// longer frame.
+fn read_ends(frame_ends: &[usize]) -> Vec<usize> {
+    let len = frame_ends.last().copied().unwrap_or(0);
+    let (mut buf, mut start, mut held) = (READ_BUF, 0, READ_BUF.min(len));
+    let mut ends = vec![held];
+    for &end in frame_ends {
+        if start + FRAME_HEADER > held {
+            held = (start + buf).min(len);
+            ends.push(held);
+        }
+        if end > held {
+            buf = buf.max(end - start);
+            held = (start + buf).min(len);
+            ends.push(held);
+        }
+        start = end;
+    }
+    ends
+}
+
+/// What `recover` must return for a segment of `Register` frames: the
+/// sessions `decode_frames` finds in the whole file, by id.
+fn assert_recovers_what_decode_frames_finds(bytes: &[u8], case: &str) {
+    let dir = TempDir::new("stream");
+    std::fs::write(dir.path().join("wal-000001.log"), bytes).unwrap();
+    let state = recover(dir.path(), usize::MAX).unwrap();
+    let decoded = decode_frames(bytes);
+    let mut want: Vec<(u64, u64, PersistedSession)> = decoded
+        .records
+        .iter()
+        .map(|payload| match WalRecord::decode(payload) {
+            Some(WalRecord::Register { id, tick, session }) => (id, tick, session),
+            other => panic!("{case}: not a registration: {other:?}"),
+        })
+        .collect();
+    want.sort_unstable_by_key(|&(id, _, _)| id);
+    let tick = want.iter().map(|&(_, tick, _)| tick + 1).max().unwrap_or(0);
+    assert_eq!(state.clean, decoded.clean, "{case}: clean flag");
+    assert_eq!(state.wal_records, want.len() as u64, "{case}: records");
+    assert_eq!(state.tick, tick, "{case}: tick");
+    assert!(state.sessions == want, "{case}: recovered sessions differ");
+}
+
+/// A segment of several megabytes, recovered through the streaming
+/// reader, against `decode_frames` over the whole file: clean, torn in a
+/// header, with a CRC mismatch, and with an oversized length. Its
+/// 516-byte frames put a read end 4 bytes into a frame header 127 frames
+/// on from each refill, and one 72,244-byte frame (4 bytes more than 140
+/// of them) is longer than the buffer, so the reads after it, at that
+/// size, end 4 bytes into headers too.
+#[test]
+fn a_multi_megabyte_wal_streams_to_what_decode_frames_finds() {
+    const HUGE_AT: usize = 3_000;
+    let mut bytes = Vec::new();
+    let mut frame_ends = Vec::new();
+    for id in 0..8_000u64 {
+        let n = if id as usize == HUGE_AT { 9_023 } else { 57 };
+        let payload = register(id, n).encode();
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&cs2p_net::persist::crc32(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        frame_ends.push(bytes.len());
+    }
+    let frame_start = |i: usize| if i == 0 { 0 } else { frame_ends[i - 1] };
+    assert_eq!(frame_start(1), 516, "frame size");
+    assert!(frame_ends[HUGE_AT] - frame_start(HUGE_AT) > READ_BUF);
+    let ends = read_ends(&frame_ends);
+    let reads = &ends[..ends.len() - 1];
+    // Every read but the two that end in or at the long frame ends inside
+    // a frame header, and no 64 KiB offset is a frame boundary.
+    let into_frame = |at: usize| at - frame_start(frame_ends.partition_point(|&e| e <= at));
+    let long = frame_start(HUGE_AT)..=frame_ends[HUGE_AT];
+    let (in_long, elsewhere): (Vec<usize>, Vec<usize>) =
+        reads.iter().partition(|&at| long.contains(at));
+    assert_eq!(in_long.len(), 2, "reads ending in the long frame");
+    assert!(elsewhere.len() >= 50, "{} reads", elsewhere.len());
+    assert!(elsewhere
+        .iter()
+        .all(|&at| (1..FRAME_HEADER).contains(&into_frame(at))));
+    assert!((READ_BUF..bytes.len())
+        .step_by(READ_BUF)
+        .all(|at| into_frame(at) != 0));
+
+    assert_recovers_what_decode_frames_finds(&bytes, "clean");
+    // Cut 4 bytes into a frame header, at a read end past the long frame.
+    let torn_at = elsewhere[elsewhere.len() - 10];
+    assert!(torn_at > frame_ends[HUGE_AT]);
+    assert_recovers_what_decode_frames_finds(&bytes[..torn_at], "torn header");
+    // The long frame as the last of the file: a clean end the reader
+    // reaches only by refilling and growing the buffer.
+    let long_end = frame_ends[HUGE_AT];
+    assert_recovers_what_decode_frames_finds(&bytes[..long_end], "long frame last");
+    // A flipped payload byte 3 MB in, many buffers after the first.
+    let mut flipped = bytes.clone();
+    flipped[3_000_000] ^= 0x10;
+    assert!(into_frame(3_000_000) >= FRAME_HEADER, "a payload byte");
+    assert_recovers_what_decode_frames_finds(&flipped, "CRC mismatch");
+    // Three frames from the end, a length field just under the cap: far
+    // more than the file has left (the allocation side of this is
+    // `alloc_budget`'s).
+    let mut oversized = bytes.clone();
+    let at = frame_start(frame_ends.len() - 3);
+    oversized[at..at + 4].copy_from_slice(&(MAX_RECORD_LEN - 1).to_le_bytes());
+    assert_recovers_what_decode_frames_finds(&oversized, "length under the cap");
 }
 
 // ---------------------------------------------------------------------
